@@ -1,4 +1,4 @@
-"""Microbenchmarks of the streaming columnar engine.
+"""Microbenchmark of the streaming columnar internet-scale engine.
 
 Two hard gates ride the smoke-bench set:
 
@@ -16,7 +16,6 @@ Both gates run on the pure-Python fallback too (``REPRO_NO_NUMPY=1``):
 the streaming shape, not NumPy, is what bounds the memory.
 """
 
-from repro.core.adoption import run_adoption_experiment
 from repro.core.internet_scale import run_internet_scale
 
 from _util import emit, traced_peak_mb
@@ -60,14 +59,3 @@ def test_perf_columnar_internet_scale(benchmark):
     assert domains_per_sec >= THROUGHPUT_FLOOR
     assert peak_mb < MEMORY_CAP_MB
 
-
-def test_perf_columnar_adoption(benchmark):
-    """Columnar adoption scan: classify 2,000 domains from columns."""
-
-    def run():
-        result = run_adoption_experiment(
-            num_domains=2000, seed=7, engine="columnar"
-        )
-        return result.summary.total_domains
-
-    assert benchmark(run) == 2000

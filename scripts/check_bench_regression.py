@@ -22,6 +22,11 @@ inverts), normalized by the same machine-speed scale, and gated by the
 same threshold.  A rate that *disappears* from a shared benchmark is a
 failure: deleting the floor is how it would silently erode.
 
+A benchmark present in only one file is named in a notice and not
+compared: a new one has no reference yet, and a baseline one absent from
+the current snapshot was skipped (the serve-worker sweep skips on
+runners with too few cores) or removed.
+
 The gate fails (exit 1) when any normalized ratio exceeds 1.25, i.e. a
 benchmark got more than 25% slower *relative to the suite*.  To land an
 intentional slowdown (e.g. trading speed for correctness), set
@@ -90,6 +95,13 @@ def main(argv: Sequence[str]) -> int:
         print(
             f"  {name}: not in baseline {baseline_path}; "
             f"skipped (new benchmark, no reference time)"
+        )
+    for name in sorted(set(baseline) - set(current)):
+        # Not a failure: skipped on this runner, or removed along with the
+        # code it timed.  Refreshing the baseline drops the notice.
+        print(
+            f"  {name}: in baseline {baseline_path} but not in "
+            f"{current_path}; skipped (not run, nothing to compare)"
         )
     if not shared:
         print(

@@ -6,7 +6,7 @@ calls deep behind an engine entry point — which CLK001/RNG001 cannot see
 from inside one file — is caught here.
 
 * **DET001** — determinism taint: functions transitively reachable from
-  engine entry points (``run_adoption_experiment``, batch/columnar shard
+  engine entry points (``run_adoption_experiment``, the batch shard
   replay, the shard task functions, every ``TripletBackend``
   implementation) must not reach wall-clock reads, the global ``random``
   module, environment reads, or unordered-iteration sinks.
@@ -96,7 +96,10 @@ def _path_text(project: Project, path: List[Key]) -> str:
 ENTRY_FUNCTIONS: Tuple[Tuple[str, str], ...] = (
     ("core/adoption.py", "run_adoption_experiment"),
     ("scan/batch.py", "batched_adoption_shard"),
-    ("scan/columnar.py", "columnar_adoption_shard"),
+    # The internet-scale fast engines: run_internet_scale calls them through
+    # a conditional-expression callable the call graph does not follow.
+    ("core/internet_scale.py", "_run_internet_scale_batched"),
+    ("core/internet_scale.py", "_run_internet_scale_columnar"),
 )
 
 #: Modules whose every public top-level function is an entry point (the

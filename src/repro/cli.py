@@ -405,7 +405,7 @@ def _serve_worker(
     return asyncio.run(_serve())
 
 
-def _serve_prefork(args: argparse.Namespace, workers: int) -> int:
+def _serve_prefork(args: argparse.Namespace, workers: int, backend) -> int:
     """Master side of multi-worker serving: bind, fork, supervise."""
     import os
 
@@ -413,7 +413,6 @@ def _serve_prefork(args: argparse.Namespace, workers: int) -> int:
     from .serve.prefork import PreforkSupervisor, bind_listening_sockets
     from .serve.server import WallClock
 
-    backend = _serve_backend(args)
     segment = backend.segment
     sockets, host, port = bind_listening_sockets(
         args.host, args.port, workers
@@ -453,8 +452,9 @@ def _serve_prefork(args: argparse.Namespace, workers: int) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
+    import signal
 
-    from .serve.server import PolicyServer, ReplayClock, WallClock
+    from .serve.server import DRAIN_SIGNALS, PolicyServer, ReplayClock, WallClock
 
     _raise_fd_limit()
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
@@ -467,10 +467,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _serve_prefork(args, workers)
+
+    backend = _serve_backend(args)
+    # Hold the drain signals pending until their handlers exist (see
+    # PolicyServer.run_until_signalled and PreforkSupervisor.run): a stop
+    # sent the moment "listening on" is read must drain, not kill.
+    # Blocked after the backend, whose shared-memory segment may launch
+    # multiprocessing's resource tracker (that unblocks both on its way
+    # out), and before any thread or worker exists, so all inherit it.
+    signal.pthread_sigmask(signal.SIG_BLOCK, DRAIN_SIGNALS)
+    if workers > 1:
+        return _serve_prefork(args, workers, backend)
 
     clock = ReplayClock() if args.clock == "replay" else WallClock()
-    chain = _build_serve_chain(args, clock, _serve_backend(args))
+    chain = _build_serve_chain(args, clock, backend)
     server = PolicyServer(chain, clock, host=args.host, port=args.port)
 
     async def _serve() -> int:
@@ -629,11 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domains", type=int, default=20000)
     p.add_argument(
         "--engine",
-        choices=("object", "batch", "columnar"),
+        choices=("object", "batch"),
         default="object",
         help=(
-            "shard implementation: per-object simulation, batch "
-            "equivalence-class engine, or columnar (vectorized) engine"
+            "shard implementation: per-object simulation (the reference) "
+            "or the equivalence-class batch engine (bit-identical, faster)"
         ),
     )
     p.add_argument(

@@ -84,11 +84,7 @@ def run_adoption_experiment(
     ``engine`` selects the shard implementation: ``"object"`` builds and
     scans the full synthetic world per chunk; ``"batch"`` collapses each
     chunk into outcome equivalence classes (see :mod:`repro.scan.batch`)
-    and produces bit-identical results at a fraction of the cost;
-    ``"columnar"`` holds each chunk as parallel fixed-width columns and
-    vectorizes the fault-free accounting (see :mod:`repro.scan.columnar`),
-    delegating faulted or glue-eliding payloads to the batch replay —
-    results are bit-identical in every case.
+    and produces bit-identical results at a fraction of the cost.
 
     ``fault_rate`` turns on measurement-infrastructure faults: each scan
     additionally suffers host outages, port-25 flaps and DNS
@@ -97,7 +93,7 @@ def run_adoption_experiment(
     per scan from ``fault_seed`` (default: ``seed``).  This exercises the
     transient failures the paper's two-scan protocol exists to filter.
     """
-    if engine not in ("object", "batch", "columnar"):
+    if engine not in ("object", "batch"):
         raise ValueError(f"unknown adoption engine {engine!r}")
     if config is None:
         config = PopulationConfig(

@@ -34,10 +34,7 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     ``engine: "batch"`` routes the payload through the equivalence-class
     batch engine (:func:`repro.scan.batch.batched_adoption_shard`), which
-    returns the identical result without building zones or probes;
-    ``engine: "columnar"`` routes it through the columnar engine
-    (:func:`repro.scan.columnar.columnar_adoption_shard`), which
-    vectorizes the fault-free accounting over the chunk's columns.  The
+    returns the identical result without building zones or probes.  The
     key is only present when batching, so object-path payloads keep their
     pre-batch cache identity.
     """
@@ -45,12 +42,6 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         from ..scan.batch import batched_adoption_shard
 
         return batched_adoption_shard(
-            {k: v for k, v in payload.items() if k != "engine"}
-        )
-    if payload.get("engine") == "columnar":
-        from ..scan.columnar import columnar_adoption_shard
-
-        return columnar_adoption_shard(
             {k: v for k, v in payload.items() if k != "engine"}
         )
 

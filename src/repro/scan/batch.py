@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.model import FaultPlan, fault_from_params
-from ..net.address import IPv4Address
+from ..net.address import IPv4Address, IPv4Network
 from ..sim.batch import BatchCounters, EquivalenceClassIndex
 from ..sim.rng import RandomStream
 from .datasets import DomainObservation, MXObservation, SMTPScanDataset
@@ -55,11 +55,13 @@ from .detect import (
     classify_two_scans,
 )
 from .population import (
-    CATEGORY_ORDER,
     DomainCategory,
     PopulationConfig,
     PopulationPlan,
     population_from_params,
+    provider_pool_address,
+    provider_pool_apex,
+    provider_pool_host,
 )
 
 #: One MX record of a replayed domain: hostname, preference, address value
@@ -105,32 +107,92 @@ def _replay_chunk(
 ) -> List[_DomainSpec]:
     """Replay one chunk's generation draws without building the world.
 
-    The columnar module owns the single replay implementation
-    (:func:`repro.scan.columnar.build_columnar_chunk`, draw-for-draw
-    lockstep with :meth:`~repro.scan.population.SyntheticInternet.
-    _generate_chunk`); this wrapper reconstitutes its columns as the
-    per-domain specs the shape computation consumes.
+    Draw-for-draw lockstep with :meth:`~repro.scan.population.
+    SyntheticInternet._generate_chunk`; any change there must be mirrored
+    here (``tests/scan/test_columnar.py`` pins the two together).  No
+    zones, no address allocator, no probe state: the chunk's addresses are
+    a counter over its slice and pool addresses are arithmetic in the
+    provider block.
     """
-    from .columnar import (
-        NO_OUTAGE,
-        build_columnar_chunk,
-        chunk_records,
-        pool_apex_of,
+    chunk_rng = RandomStream(seed, "population").split(f"chunk:{chunk_index}")
+    outage_rng = chunk_rng.split("outages")
+    mx_rng = chunk_rng.split("mx-count")
+    misc_rng = chunk_rng.split("misconfig")
+    provider_rng = (
+        chunk_rng.split("provider")
+        if config.provider_pool_fraction > 0
+        else None
+    )
+    next_address = (
+        IPv4Network.parse(config.address_space).base.value
+        + chunk_index * config.chunk_address_stride
     )
 
-    chunk = build_columnar_chunk(plan, config, seed, chunk_index)
+    def transient() -> Optional[int]:
+        # SyntheticInternet._maybe_transient for a primary with an address.
+        if outage_rng.random() >= config.transient_outage_rate:
+            return None
+        return outage_rng.randint(0, 1)
+
     specs: List[_DomainSpec] = []
-    for i in range(chunk.n):
-        name = plan.name_of(chunk.start + i)
-        outage = int(chunk.outage_scan[i])
+    for _, name, category, _rank in plan.chunk_rows(chunk_index):
+        records: List[_Record] = []
+        outage_scan: Optional[int] = None
+        persistent = False
+        pool_apex: Optional[str] = None
+
+        if category is DomainCategory.SINGLE_MX:
+            records.append((f"smtp.{name}", 10, next_address))
+            next_address += 1
+            outage_scan = transient()
+        elif category is DomainCategory.MULTI_MX:
+            count = mx_rng.weighted_index(list(config.extra_mx_weights)) + 2
+            pooled = (
+                provider_rng is not None
+                and provider_rng.random() < config.provider_pool_fraction
+            )
+            if pooled:
+                pool_id = provider_rng.randrange(config.provider_pool_count)
+                balanced = (
+                    provider_rng.random() < config.provider_equal_preference
+                )
+                for slot in range(count):
+                    records.append(
+                        (
+                            provider_pool_host(pool_id, slot),
+                            10 if balanced else 10 * (slot + 1),
+                            provider_pool_address(pool_id, slot),
+                        )
+                    )
+                pool_apex = provider_pool_apex(pool_id)
+            else:
+                records.append((f"smtp.{name}", 10, next_address))
+                for j in range(1, count):
+                    records.append(
+                        (f"smtp{j}.{name}", 10 * (j + 1), next_address + j)
+                    )
+                next_address += count
+                if outage_rng.random() < config.persistent_outage_rate:
+                    persistent = True
+                else:
+                    outage_scan = transient()
+        elif category is DomainCategory.NOLISTING:
+            records.append((f"smtp.{name}", 0, next_address))
+            records.append((f"smtp1.{name}", 15, next_address + 1))
+            next_address += 2
+        elif misc_rng.random() < config.dangling_mx_fraction:
+            records.append((f"ghost.{name}", 10, None))
+        else:
+            next_address += 1  # the www A record still consumes a slot
+
         specs.append(
             _DomainSpec(
                 name=name,
-                category=CATEGORY_ORDER[int(chunk.category[i])],
-                records=chunk_records(chunk, i, name),
-                outage_scan=None if outage == NO_OUTAGE else outage,
-                persistent=bool(chunk.persistent[i]),
-                pool_apex=pool_apex_of(chunk, i),
+                category=category,
+                records=records,
+                outage_scan=outage_scan,
+                persistent=persistent,
+                pool_apex=pool_apex,
             )
         )
     return specs

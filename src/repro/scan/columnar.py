@@ -1,14 +1,11 @@
-"""Columnar struct-of-arrays pipeline for the internet-scale path.
+"""Streamed deployment column for the internet-scale wave.
 
-The object path materializes one :class:`~repro.scan.population.DomainTruth`
-(plus zones, address objects and probe state) per domain; the batch engine
-(PR 5) dropped the zones but still builds a Python object per domain.  At
-internet scale neither fits: 10M domains of per-domain objects is gigabytes
-of heap.  This module holds the population as **parallel columns** — one
-small fixed-width cell per domain for rank, ground-truth category, MX
-topology, outage schedule, provider pool and generator profile — built one
-~100k-domain chunk at a time, so peak memory is bounded by the chunk size,
-not the population size.
+The object and batch internet-scale engines materialize the receiver
+internet's deployment as one Python value per domain; at tens of millions
+of domains that list alone is hundreds of MiB of heap.  The columnar engine
+(``run_internet_scale(engine="columnar")``) instead streams the deployment
+as fixed-width **columns**, one ~100k-domain chunk at a time, so peak
+memory is bounded by the chunk size, not the population size.
 
 Columns are NumPy arrays when NumPy is importable (and ``REPRO_NO_NUMPY``
 is unset); otherwise the pure-Python :mod:`array` module provides the same
@@ -21,33 +18,17 @@ All random draws stay on the Python side (:meth:`~repro.sim.rng.
 RandomStream.random_block` bulk-draws from the same Mersenne Twister state
 the per-object path advances), because NumPy's generators cannot replicate
 :mod:`random`'s stream.  Vectorization applies strictly *downstream* of the
-draws — binning, classification and accounting — which is what keeps the
-columnar engines bit-for-bit identical to the object oracle at any N.
-
->>> CATEGORY_TOPOLOGIES[TOPO_NOLISTING].value
-'nolisting'
+draws — binning into deployment codes — which is what keeps the columnar
+engine bit-for-bit identical to the object oracle at any N.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, Tuple
 
-from ..net.address import IPv4Network
 from ..sim.rng import RandomStream
-from .population import (
-    CATEGORY_CODE,
-    CATEGORY_ORDER,
-    DomainCategory,
-    PopulationConfig,
-    PopulationPlan,
-    population_from_params,
-    provider_pool_address,
-    provider_pool_apex,
-    provider_pool_host,
-)
-from .profiles import PROFILE_CODE
 
 
 def numpy_or_none():
@@ -67,448 +48,6 @@ def numpy_or_none():
     except ImportError:  # pragma: no cover - container always has numpy
         return None
     return numpy
-
-
-# ----------------------------------------------------------------------
-# Topology codes (the "MX topology id" column)
-# ----------------------------------------------------------------------
-TOPO_NO_MX = 0
-TOPO_DANGLING = 1
-TOPO_SINGLE = 2
-TOPO_MULTI = 3
-TOPO_NOLISTING = 4
-TOPO_POOL_FAILOVER = 5
-TOPO_POOL_BALANCED = 6
-
-#: topology code -> the ground-truth category it can occur under.
-CATEGORY_TOPOLOGIES: Dict[int, DomainCategory] = {
-    TOPO_NO_MX: DomainCategory.MISCONFIGURED,
-    TOPO_DANGLING: DomainCategory.MISCONFIGURED,
-    TOPO_SINGLE: DomainCategory.SINGLE_MX,
-    TOPO_MULTI: DomainCategory.MULTI_MX,
-    TOPO_NOLISTING: DomainCategory.NOLISTING,
-    TOPO_POOL_FAILOVER: DomainCategory.MULTI_MX,
-    TOPO_POOL_BALANCED: DomainCategory.MULTI_MX,
-}
-
-#: Sentinel in the ``addr_offset`` column for "no population address"
-#: (dangling MX, no-MX, and pool-hosted domains whose addresses are
-#: arithmetic in the provider block instead).
-NO_ADDRESS = (1 << 64) - 1
-
-#: Sentinels in the small signed columns.
-NO_OUTAGE = -1
-NO_POOL = -1
-
-
-def _column(typecode: str, values: List[int], np, dtype: Optional[str]):
-    """Freeze a build list into a NumPy array or an ``array`` column."""
-    if np is not None:
-        return np.array(values, dtype=dtype)
-    return array(typecode, values)
-
-
-class ColumnarChunk:
-    """One generation chunk of the population as parallel columns.
-
-    Every cell is a fixed-width integer; the full per-domain ground truth
-    (records, hostnames, preferences, addresses) is *derivable* from the
-    columns via :func:`chunk_records` — nothing else needs to be stored.
-    """
-
-    __slots__ = (
-        "chunk_index",
-        "start",
-        "n",
-        "addr_base",
-        "category",
-        "rank",
-        "topology",
-        "mx_count",
-        "outage_scan",
-        "persistent",
-        "provider_pool",
-        "addr_offset",
-        "profile",
-    )
-
-    def __init__(
-        self,
-        chunk_index: int,
-        start: int,
-        addr_base: int,
-        category,
-        rank,
-        topology,
-        mx_count,
-        outage_scan,
-        persistent,
-        provider_pool,
-        addr_offset,
-        profile,
-    ) -> None:
-        self.chunk_index = chunk_index
-        self.start = start
-        self.addr_base = addr_base
-        self.category = category
-        self.rank = rank
-        self.topology = topology
-        self.mx_count = mx_count
-        self.outage_scan = outage_scan
-        self.persistent = persistent
-        self.provider_pool = provider_pool
-        self.addr_offset = addr_offset
-        self.profile = profile
-        self.n = len(category)
-
-
-def build_columnar_chunk(
-    plan: PopulationPlan,
-    config: PopulationConfig,
-    seed: int,
-    chunk_index: int,
-) -> ColumnarChunk:
-    """Replay one chunk's generation draws into columns.
-
-    Draw-for-draw lockstep with
-    :meth:`~repro.scan.population.SyntheticInternet._generate_chunk`; any
-    change there must be mirrored here (the columnar-equivalence property
-    tests pin the two together).  No zones, no address allocator, no
-    per-domain objects — addresses are arithmetic offsets into the chunk's
-    slice and pool addresses are arithmetic in the provider block.
-    """
-    chunk_rng = RandomStream(seed, "population").split(f"chunk:{chunk_index}")
-    outage_rng = chunk_rng.split("outages")
-    mx_rng = chunk_rng.split("mx-count")
-    misc_rng = chunk_rng.split("misconfig")
-    provider_rng = (
-        chunk_rng.split("provider")
-        if config.provider_pool_fraction > 0
-        else None
-    )
-
-    network = IPv4Network.parse(config.address_space)
-    next_offset = chunk_index * config.chunk_address_stride
-    profile_code = PROFILE_CODE.get(config.profile, 0)
-
-    categories: List[int] = []
-    ranks: List[int] = []
-    topologies: List[int] = []
-    mx_counts: List[int] = []
-    outages: List[int] = []
-    persistents: List[int] = []
-    pools: List[int] = []
-    offsets: List[int] = []
-
-    for _, _name, category, rank in plan.chunk_rows(chunk_index):
-        topology = TOPO_SINGLE
-        mx_count = 0
-        outage = NO_OUTAGE
-        persistent = 0
-        pool_id = NO_POOL
-        offset = NO_ADDRESS
-
-        if category is DomainCategory.SINGLE_MX:
-            topology = TOPO_SINGLE
-            mx_count = 1
-            offset = next_offset
-            next_offset += 1
-            outage = _replay_transient(outage_rng, config)
-        elif category is DomainCategory.MULTI_MX:
-            extra = mx_rng.weighted_index(list(config.extra_mx_weights)) + 1
-            mx_count = extra + 1
-            pooled = (
-                provider_rng is not None
-                and provider_rng.random() < config.provider_pool_fraction
-            )
-            if pooled:
-                pool_id = provider_rng.randrange(config.provider_pool_count)
-                balanced = (
-                    provider_rng.random() < config.provider_equal_preference
-                )
-                topology = TOPO_POOL_BALANCED if balanced else TOPO_POOL_FAILOVER
-            else:
-                topology = TOPO_MULTI
-                offset = next_offset
-                next_offset += mx_count
-                if outage_rng.random() < config.persistent_outage_rate:
-                    persistent = 1
-                else:
-                    outage = _replay_transient(outage_rng, config)
-        elif category is DomainCategory.NOLISTING:
-            topology = TOPO_NOLISTING
-            mx_count = 2
-            offset = next_offset
-            next_offset += 2
-        else:  # MISCONFIGURED
-            if misc_rng.random() < config.dangling_mx_fraction:
-                topology = TOPO_DANGLING
-                mx_count = 1
-            else:
-                topology = TOPO_NO_MX
-                mx_count = 0
-                next_offset += 1  # the www A record still consumes a slot
-
-        categories.append(CATEGORY_CODE[category])
-        ranks.append(rank)
-        topologies.append(topology)
-        mx_counts.append(mx_count)
-        outages.append(outage)
-        persistents.append(persistent)
-        pools.append(pool_id)
-        offsets.append(offset)
-
-    np = numpy_or_none()
-    return ColumnarChunk(
-        chunk_index=chunk_index,
-        start=chunk_index * config.chunk_size,
-        addr_base=network.base.value,
-        category=_column("B", categories, np, "uint8"),
-        rank=_column("I", ranks, np, "uint32"),
-        topology=_column("B", topologies, np, "uint8"),
-        mx_count=_column("B", mx_counts, np, "uint8"),
-        outage_scan=_column("b", outages, np, "int8"),
-        persistent=_column("B", persistents, np, "uint8"),
-        provider_pool=_column("h", pools, np, "int16"),
-        addr_offset=_column("Q", offsets, np, "uint64"),
-        profile=_column("B", [profile_code] * len(categories), np, "uint8"),
-    )
-
-
-def _replay_transient(rng: RandomStream, config: PopulationConfig) -> int:
-    """Replay ``SyntheticInternet._maybe_transient`` for a live primary."""
-    if rng.random() >= config.transient_outage_rate:
-        return NO_OUTAGE
-    return rng.randint(0, 1)
-
-
-def chunk_records(
-    chunk: ColumnarChunk, i: int, name: str
-) -> List[Tuple[str, int, Optional[int]]]:
-    """Reconstruct domain ``i``'s MX records from its column cells.
-
-    Returns ``(hostname, preference, address-value-or-None)`` triples in
-    generation order — the exact contents of ``DomainTruth.mx_hosts``.
-    """
-    topology = chunk.topology[i]
-    count = int(chunk.mx_count[i])
-    if topology == TOPO_NO_MX:
-        return []
-    if topology == TOPO_DANGLING:
-        return [(f"ghost.{name}", 10, None)]
-    if topology in (TOPO_POOL_FAILOVER, TOPO_POOL_BALANCED):
-        pool_id = int(chunk.provider_pool[i])
-        balanced = topology == TOPO_POOL_BALANCED
-        return [
-            (
-                provider_pool_host(pool_id, slot),
-                10 if balanced else 10 * (slot + 1),
-                provider_pool_address(pool_id, slot),
-            )
-            for slot in range(count)
-        ]
-    address = chunk.addr_base + int(chunk.addr_offset[i])
-    if topology == TOPO_SINGLE:
-        return [(f"smtp.{name}", 10, address)]
-    if topology == TOPO_NOLISTING:
-        return [(f"smtp.{name}", 0, address), (f"smtp1.{name}", 15, address + 1)]
-    # TOPO_MULTI, self-hosted
-    records: List[Tuple[str, int, Optional[int]]] = [
-        (f"smtp.{name}", 10, address)
-    ]
-    for j in range(1, count):
-        records.append((f"smtp{j}.{name}", 10 * (j + 1), address + j))
-    return records
-
-
-def pool_apex_of(chunk: ColumnarChunk, i: int) -> Optional[str]:
-    """Provider-pool zone apex of domain ``i``, or ``None`` if self-hosted."""
-    pool_id = int(chunk.provider_pool[i])
-    if pool_id < 0:
-        return None
-    return provider_pool_apex(pool_id)
-
-
-# ----------------------------------------------------------------------
-# Vectorized adoption accounting
-# ----------------------------------------------------------------------
-#: Bit layout of the packed per-domain outcome key (fault-free scans only):
-#: topology(3) | category(2 bits suffice, 3 used) | mx_count(3) |
-#: outage+1(2) | persistent(1).
-_TOPO_BITS, _CAT_SHIFT, _MXC_SHIFT, _OUT_SHIFT, _PER_SHIFT = 7, 3, 6, 9, 11
-
-
-def _pack_outcome_keys(chunk: ColumnarChunk):
-    """Per-domain outcome keys as one integer column (vectorized)."""
-    np = numpy_or_none()
-    if np is not None and hasattr(chunk.topology, "astype"):
-        t = chunk.topology.astype(np.int64)
-        return (
-            t
-            | (chunk.category.astype(np.int64) << _CAT_SHIFT)
-            | (chunk.mx_count.astype(np.int64) << _MXC_SHIFT)
-            | ((chunk.outage_scan.astype(np.int64) + 1) << _OUT_SHIFT)
-            | (chunk.persistent.astype(np.int64) << _PER_SHIFT)
-        )
-    return array(
-        "q",
-        (
-            chunk.topology[i]
-            | (chunk.category[i] << _CAT_SHIFT)
-            | (chunk.mx_count[i] << _MXC_SHIFT)
-            | ((chunk.outage_scan[i] + 1) << _OUT_SHIFT)
-            | (chunk.persistent[i] << _PER_SHIFT)
-            for i in range(chunk.n)
-        ),
-    )
-
-
-def _unique_counts(packed) -> Dict[int, int]:
-    """Distinct outcome keys and their cardinalities."""
-    np = numpy_or_none()
-    if np is not None and hasattr(packed, "astype"):
-        keys, counts = np.unique(packed, return_counts=True)
-        return {int(k): int(c) for k, c in zip(keys, counts)}
-    counts: Dict[int, int] = {}
-    for key in packed:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _shape_of_key(key: int, scan_index: int) -> Tuple[Any, ...]:
-    """The single-scan shape a fault-free scan observes for one key."""
-    topology = key & _TOPO_BITS
-    mx_count = (key >> _MXC_SHIFT) & 7
-    outage = ((key >> _OUT_SHIFT) & 3) - 1
-    persistent = (key >> _PER_SHIFT) & 1
-    if topology == TOPO_NO_MX:
-        return (0, 0, False, False)
-    if topology == TOPO_DANGLING:
-        return (1, 0, False, False)
-    if topology == TOPO_SINGLE:
-        return (1, 1, False, False)
-    if topology == TOPO_NOLISTING:
-        return (2, 2, False, True)
-    if topology in (TOPO_POOL_FAILOVER, TOPO_POOL_BALANCED):
-        return (mx_count, mx_count, True, True)
-    primary_up = not persistent and outage != scan_index
-    return (mx_count, mx_count, primary_up, True)
-
-
-def columnar_adoption_shard(
-    payload: Dict[str, Any], counters=None
-) -> Dict[str, Any]:
-    """Columnar equivalent of :func:`repro.scan.batch.batched_adoption_shard`.
-
-    Fault-free, elision-free scans are a pure function of the chunk's
-    columns, so the whole chunk collapses to ``unique(packed keys)`` —
-    vectorized under NumPy — and the *real* classifiers run once per
-    distinct key.  Faulted or glue-eliding payloads depend on per-domain
-    RNG streams that are inherently sequential; those delegate to the
-    batch replay engine, which produces the identical result.
-    """
-    from ..core.adoption import _TRUTH_TO_CLASS
-    from .batch import _shape_verdict, batched_adoption_shard
-    from .detect import DomainClass, SingleScanVerdict, classify_two_scans
-
-    if payload.get("faults") is not None or float(payload["glue_elision_rate"]) > 0:
-        return batched_adoption_shard(payload, counters)
-
-    config = population_from_params(payload["population"])
-    seed = int(payload["seed"])
-    chunk_index = int(payload["chunk"])
-    plan = PopulationPlan(config, seed)
-    chunk = build_columnar_chunk(plan, config, seed, chunk_index)
-
-    packed = _pack_outcome_keys(chunk)
-    cardinality = _unique_counts(packed)
-
-    shape_memo: Dict[Tuple[Any, ...], SingleScanVerdict] = {}
-    representative_runs = 0
-
-    def verdict_of(shape: Tuple[Any, ...]) -> SingleScanVerdict:
-        nonlocal representative_runs
-        verdict = shape_memo.get(shape)
-        if verdict is None:
-            verdict = _shape_verdict(shape)
-            shape_memo[shape] = verdict
-            representative_runs += 1
-        return verdict
-
-    pair_memo: Dict[Tuple[SingleScanVerdict, SingleScanVerdict], DomainClass] = {}
-    counts = {c: 0 for c in DomainClass}
-    total = flapped = servers_covered = addresses_covered = 0
-    confusion = {"correct": 0, "wrong": 0}
-    nolisting_keys: List[int] = []
-
-    for key, members in cardinality.items():
-        topology = key & _TOPO_BITS
-        mx_count = (key >> _MXC_SHIFT) & 7
-        category = CATEGORY_ORDER[(key >> _CAT_SHIFT) & 7]
-        shape_a = _shape_of_key(key, 0)
-        shape_b = _shape_of_key(key, 1)
-        verdict_a = verdict_of(shape_a)
-        verdict_b = verdict_of(shape_b)
-        pair = (verdict_a, verdict_b)
-        domain_class = pair_memo.get(pair)
-        if domain_class is None:
-            domain_class = classify_two_scans(
-                "representative.example", verdict_a, verdict_b
-            ).domain_class
-            pair_memo[pair] = domain_class
-            representative_runs += 1
-        total += members
-        counts[domain_class] += members
-        if verdict_a != verdict_b:
-            flapped += members
-        servers = mx_count if topology != TOPO_NO_MX else 0
-        addresses = 0 if topology in (TOPO_NO_MX, TOPO_DANGLING) else mx_count
-        servers_covered += servers * members
-        addresses_covered += addresses * members
-        if domain_class is _TRUTH_TO_CLASS[category]:
-            confusion["correct"] += members
-        else:
-            confusion["wrong"] += members
-        if domain_class is DomainClass.NOLISTING:
-            nolisting_keys.append(key)
-
-    nolisting_domains = _members_of(chunk, plan, packed, nolisting_keys)
-
-    if counters is not None:
-        counters.members += chunk.n
-        counters.classes += len(cardinality)
-        counters.representative_runs += representative_runs
-
-    return {
-        "total": int(total),
-        "counts": {c.value: int(counts.get(c, 0)) for c in DomainClass},
-        "flapped": int(flapped),
-        "servers": int(servers_covered),
-        "addresses": int(addresses_covered),
-        "repaired": 0,  # no elision and no faults -> nothing to re-resolve
-        "confusion": {k: int(v) for k, v in confusion.items()},
-        "nolisting_domains": sorted(nolisting_domains),
-    }
-
-
-def _members_of(
-    chunk: ColumnarChunk, plan: PopulationPlan, packed, keys: List[int]
-) -> List[str]:
-    """Names of the domains whose outcome key is in ``keys``."""
-    if not keys:
-        return []
-    np = numpy_or_none()
-    names: List[str] = []
-    if np is not None and hasattr(packed, "astype"):
-        mask = np.isin(packed, np.array(keys, dtype=np.int64))
-        for i in np.nonzero(mask)[0]:
-            names.append(plan.name_of(chunk.start + int(i)))
-        return names
-    wanted = set(keys)
-    for i, key in enumerate(packed):
-        if key in wanted:
-            names.append(plan.name_of(chunk.start + i))
-    return names
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ PROVIDER_APEX = "mx-pools.example"
 #: Address block reserved for provider pools (RFC 2544 benchmarking range,
 #: disjoint from the population's default 10/8 and the bot source ranges).
 #: Pool addresses are arithmetic — pool ``k`` slot ``i`` maps to
-#: ``base + k * POOL_HOSTS + i`` — so the batch/columnar replay never needs
+#: ``base + k * POOL_HOSTS + i`` — so the batch replay never needs
 #: an allocator to know them.
 PROVIDER_ADDRESS_SPACE = "198.18.0.0/16"
 
@@ -171,8 +171,7 @@ class PopulationConfig:
     #: fail-over layout (ascending preferences).
     provider_equal_preference: float = 0.3
     #: Generator mix this config was derived from (see
-    #: :mod:`repro.scan.profiles`); purely descriptive metadata that the
-    #: columnar pipeline records per domain.
+    #: :mod:`repro.scan.profiles`); purely descriptive metadata.
     profile: str = "figure2"
     address_space: str = "10.0.0.0/8"
     #: Domains per generation chunk.  Part of the population's identity: the
@@ -605,7 +604,7 @@ class SyntheticInternet:
     ) -> None:
         extra = rng.weighted_index(list(self.config.extra_mx_weights)) + 1
         if provider_rng is not None:
-            # Fixed draw order (membership, pool id, layout) so the columnar
+            # Fixed draw order (membership, pool id, layout) so the batch
             # replay can mirror this stream draw-for-draw.
             if provider_rng.random() < self.config.provider_pool_fraction:
                 pool_id = provider_rng.randrange(self.config.provider_pool_count)

@@ -1,8 +1,7 @@
 """Named generator profiles for the synthetic-internet population.
 
-The Figure 2 reproduction uses the paper's published category mix; the
-columnar pipeline adds two realism-targeted mixes from the related
-measurement literature:
+The Figure 2 reproduction uses the paper's published category mix; two
+more realism-targeted mixes come from the related measurement literature:
 
 ``figure2``
     The DSN paper's published adoption mix — the default, and byte-for-byte
@@ -18,9 +17,7 @@ measurement literature:
     misconfigured tail (dangling MX records left behind by churn).
 
 A profile is just a :class:`~repro.scan.population.PopulationConfig`
-recipe; nothing downstream branches on the name.  The columnar pipeline
-records the profile per domain (see ``PROFILE_CODE``) so mixed datasets
-remain attributable.
+recipe; nothing downstream branches on the name.
 """
 
 from __future__ import annotations
@@ -101,12 +98,6 @@ PROFILES: Dict[str, GeneratorProfile] = {
         ),
     )
 }
-
-#: profile name -> small-int code stored in the columnar ``profile`` column.
-PROFILE_CODE: Dict[str, int] = {
-    name: code for code, name in enumerate(PROFILES)
-}
-
 
 def profile_config(
     name: str, num_domains: int, **overrides: object

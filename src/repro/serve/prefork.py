@@ -25,10 +25,15 @@ balanced).
 Drain protocol
 --------------
 SIGTERM (or SIGINT) to the master is forwarded to every live worker
-inside the signal handler itself, so no new forks can race it.  Each
-worker's ``run_until_signalled`` path then stops accepting, answers
-every buffered stanza, flushes its backend attachment and exits 0; the
-master reaps them all and exits 0.  A worker that dies *unprompted*
+as soon as the master takes it.  The master keeps both signals blocked
+and waits for them (and for SIGCHLD) with ``sigwait``, so no stop
+request can slip in between a check and a blocking call.  A forked
+worker starts with them still blocked: a stop that arrives while it
+boots is held pending until its body handles the signals and unblocks
+them, instead of killing it half-booted.  Each worker's
+``run_until_signalled`` path then stops accepting, answers every
+buffered stanza, flushes its backend attachment and exits 0; the master
+reaps them all and exits 0.  A worker that dies *unprompted*
 (crash, SIGKILL) is respawned — up to ``restart_limit`` times, after
 which the master drains the rest and exits 1 rather than flap forever.
 """
@@ -43,6 +48,11 @@ import threading
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .server import DRAIN_SIGNALS
+
+#: What the master waits for: a drain request or a worker's exit.
+_MASTER_SIGNALS = (*DRAIN_SIGNALS, signal.SIGCHLD)
+
 #: Listen backlog shared with :class:`~repro.serve.server.PolicyServer`.
 LISTEN_BACKLOG = 8192
 
@@ -50,7 +60,9 @@ LISTEN_BACKLOG = 8192
 DEFAULT_RESTART_LIMIT = 16
 
 #: A worker's body returns an exit status; it runs inside the forked
-#: child and must never raise back into the supervisor's stack.
+#: child and must never raise back into the supervisor's stack.  It starts
+#: with SIGTERM/SIGINT blocked and default-handled, and unblocks them once
+#: it handles them (``PolicyServer.run_until_signalled`` does).
 WorkerBody = Callable[[int, socket.socket], int]
 
 
@@ -159,9 +171,15 @@ class PreforkSupervisor:
         1 when the restart limit was exhausted or a worker refused to
         drain cleanly.
         """
+        # The master keeps the drain signals and SIGCHLD blocked and takes
+        # them with sigwait.  A handler cannot run inside a blocking
+        # waitpid entered just after its signal arrived, so a stop could
+        # otherwise wait for the next worker exit.  The handlers stay
+        # installed for a signal another thread of the caller takes.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _MASTER_SIGNALS)
         previous = {
             signum: signal.signal(signum, self._on_signal)
-            for signum in (signal.SIGTERM, signal.SIGINT)
+            for signum in DRAIN_SIGNALS
         }
         stop_maintenance = threading.Event()
         failed = False
@@ -169,6 +187,7 @@ class PreforkSupervisor:
             for index in range(self._workers):
                 self._spawn(index)
             if self._maintenance is not None:
+                # Started with the signals blocked, so it never takes one.
                 thread = threading.Thread(
                     target=self._maintenance_loop,
                     args=(stop_maintenance,),
@@ -177,46 +196,68 @@ class PreforkSupervisor:
                 )
                 thread.start()
             while self._children:
-                try:
-                    pid, status = os.waitpid(-1, 0)
-                except ChildProcessError:  # pragma: no cover - defensive
-                    break
-                index = self._children.pop(pid, None)
-                if index is None:  # pragma: no cover - foreign child
-                    continue
-                if self._stopping:
-                    if not self._exited_cleanly(status):
-                        failed = True
-                    continue
-                # Unprompted death — crash, SIGKILL, or a worker that
-                # decided to exit on its own: respawn onto the same
-                # socket so its queued connections are still answered.
-                self._restarts += 1
-                if self._restarts > self._restart_limit:
-                    failed = True
-                    self._stopping = True
-                    self._signal_children(signal.SIGTERM)
-                    continue
-                self._spawn(index)
+                signum = signal.sigwait(_MASTER_SIGNALS)
+                if signum != signal.SIGCHLD:
+                    self._on_signal(signum, None)
+                failed = self._reap() or failed
         finally:
             stop_maintenance.set()
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
         return 1 if failed else 0
+
+    def _reap(self) -> bool:
+        """Reap every exited worker, respawning crashed ones.
+
+        Returns True when the fleet failed: a worker did not drain
+        cleanly, or the restart limit ran out.
+        """
+        failed = False
+        while True:
+            try:
+                pid, status = os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:  # pragma: no cover - defensive
+                self._children.clear()
+                return failed
+            if pid == 0:
+                return failed
+            index = self._children.pop(pid, None)
+            if index is None:  # pragma: no cover - foreign child
+                continue
+            if self._stopping:
+                if not self._exited_cleanly(status):
+                    failed = True
+                continue
+            # Unprompted death — crash, SIGKILL, or a worker that
+            # decided to exit on its own: respawn onto the same
+            # socket so its queued connections are still answered.
+            self._restarts += 1
+            if self._restarts > self._restart_limit:
+                failed = True
+                self._stopping = True
+                self._signal_children(signal.SIGTERM)
+                continue
+            self._spawn(index)
 
     def _spawn(self, index: int) -> None:
         sock = self._sockets[index % len(self._sockets)]
         pid = os.fork()
         if pid:
             self._children[pid] = index
+            if self._stopping:
+                # A handler ran between the fork and the line above
+                # (another thread took the signal) and missed this child.
+                os.kill(pid, signal.SIGTERM)
             return
         # ---- child ----
-        # Undo the master's supervisor handlers *before* anything else:
-        # a drain signal landing now must kill the half-booted child
-        # (the master is stopping and will not respawn it), not re-run
-        # the fan-out handler from inside the worker.
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        # Undo the master's supervisor handlers *before* anything else,
+        # so a drain signal never re-runs the fan-out handler inside the
+        # worker.  The drain signals stay blocked until the body handles
+        # them; SIGCHLD is the master's business only.
+        for signum in DRAIN_SIGNALS:
+            signal.signal(signum, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
         for other in self._sockets:
             if other is not sock:
                 other.close()
@@ -234,8 +275,6 @@ class PreforkSupervisor:
             os._exit(status)
 
     def _on_signal(self, signum: int, _frame: object) -> None:
-        # Runs on the master's main thread between bytecodes; waitpid
-        # resumes afterwards (PEP 475), sees the flag, and reaps.
         self._stopping = True
         self._signal_children(
             signal.SIGTERM if signum == signal.SIGINT else signum

@@ -23,7 +23,10 @@ requests are always answered — the handler finishes its current batch
 synchronously), stragglers are aborted, and the backend is flushed
 (SQLite commit / journal write-out) before the daemon exits 0.  The
 drain test asserts no acknowledged triplet write is lost across this
-sequence.
+sequence.  The CLI blocks both signals before it announces the daemon,
+and :meth:`PolicyServer.run_until_signalled` unblocks them once its
+handlers are installed, so a stop request that races start-up is held
+pending and then drained rather than killing the process.
 
 Blocking calls: the durable backends commit on the event loop (batched
 by ``commit_every``, sub-millisecond in WAL mode) — the same
@@ -58,6 +61,9 @@ FLUSH_INTERVAL = 1.0
 
 #: Seconds connected peers get to finish in-flight stanzas on shutdown.
 DRAIN_GRACE = 5.0
+
+#: The signals that stop the daemon with a graceful drain.
+DRAIN_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class ReplayClock(Clock):
@@ -197,14 +203,19 @@ class PolicyServer:
         return self.host, self.port
 
     async def run_until_signalled(self) -> int:
-        """Serve until SIGTERM/SIGINT, then drain, flush and return 0."""
+        """Serve until SIGTERM/SIGINT, then drain, flush and return 0.
+
+        Unblocks both signals once its handlers are installed, so one
+        the caller held pending during start-up is delivered here.
+        """
         loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
+        for signum in DRAIN_SIGNALS:
             loop.add_signal_handler(signum, self._stopping.set)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, DRAIN_SIGNALS)
         try:
             await self._stopping.wait()
         finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
+            for signum in DRAIN_SIGNALS:
                 loop.remove_signal_handler(signum)
             await self.shutdown()
         return 0

@@ -60,7 +60,7 @@ class RandomStream:
     def random_block(self, n: int) -> List[float]:
         """Draw ``n`` uniforms in bulk — bit-identical to ``n`` :meth:`random` calls.
 
-        The columnar engines consume per-entity uniform draws by the
+        The columnar engine consumes per-domain uniform draws by the
         hundred-thousand; a tight comprehension over the bound C method is
         several times faster than ``n`` Python-level :meth:`random` calls
         while advancing the underlying Mersenne Twister state identically,

@@ -79,8 +79,8 @@ def test_entry_points_resolved_on_real_tree():
     # The engine entry points the taint rule starts from must keep
     # resolving as the tree grows; a rename here silently disables DET001.
     assert "run_adoption_experiment" in entries
-    assert "columnar_adoption_shard" in entries
     assert "batched_adoption_shard" in entries
+    assert "_run_internet_scale_columnar" in entries
     # Every TripletBackend implementation's methods are entries too.
     assert any(name.startswith("SQLiteBackend.") for name in entries)
     assert any(name.startswith("JournalBackend.") for name in entries)

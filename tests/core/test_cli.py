@@ -41,9 +41,16 @@ class TestParser:
         assert args.profile is False
         assert args.profile_out is None
 
-    def test_engine_choice_validated(self):
+    @pytest.mark.parametrize("engine", ["warp", "columnar"])
+    def test_engine_choice_validated(self, engine):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["adoption", "--engine", "warp"])
+            build_parser().parse_args(["adoption", "--engine", engine])
+
+    def test_internet_scale_keeps_columnar_engine(self):
+        args = build_parser().parse_args(
+            ["internet-scale", "--engine", "columnar"]
+        )
+        assert args.engine == "columnar"
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -12,36 +12,68 @@ from repro.botnet.families import CUTWAIL, DARKMAILER
 from repro.core.adoption import run_adoption_experiment
 from repro.core.internet_scale import run_internet_scale, sweep_deployment_rates
 from repro.core.synergy import run_synergy_experiment, sweep_greylist_delay
+from repro.scan.profiles import profile_config
 from repro.sim.batch import BatchCounters, SessionOutcomeCache
 
 
-class TestAdoptionEquivalence:
-    def test_multi_chunk_identical(self):
-        # 1100 domains = 3 chunks (one partial), exercising the shard merge.
-        obj = run_adoption_experiment(num_domains=1100, seed=5, engine="object")
-        bat = run_adoption_experiment(num_domains=1100, seed=5, engine="batch")
-        assert bat.summary.counts == obj.summary.counts
-        assert bat.summary.flapped == obj.summary.flapped
-        assert bat.summary.total_domains == obj.summary.total_domains
-        assert bat.confusion == obj.confusion
-        assert bat.repaired_mx_records == obj.repaired_mx_records
-        assert bat.crosscheck == obj.crosscheck
-        assert bat.ground_truth == obj.ground_truth
+def _assert_adoption_equal(a, b):
+    assert b.summary.counts == a.summary.counts
+    assert b.summary.flapped == a.summary.flapped
+    assert b.summary.total_domains == a.summary.total_domains
+    assert b.summary.servers_covered == a.summary.servers_covered
+    assert b.summary.addresses_covered == a.summary.addresses_covered
+    assert b.confusion == a.confusion
+    assert b.repaired_mx_records == a.repaired_mx_records
+    assert b.crosscheck == a.crosscheck
+    assert b.ground_truth == a.ground_truth
 
-    def test_identical_under_fault_injection(self):
-        # Fault draws are keyed by entity, not by execution order, so the
-        # batch engine must reproduce the faulted verdicts too.
-        kwargs = dict(num_domains=600, seed=9, fault_rate=0.05, fault_seed=77)
+
+class TestAdoptionEquivalence:
+    @pytest.mark.parametrize("glue_elision_rate", [0.1, 0.0])
+    def test_multi_chunk_identical(self, glue_elision_rate):
+        # 1100 domains = 3 chunks (one partial), exercising the shard merge.
+        kwargs = dict(
+            num_domains=1100, seed=5, glue_elision_rate=glue_elision_rate
+        )
         obj = run_adoption_experiment(engine="object", **kwargs)
         bat = run_adoption_experiment(engine="batch", **kwargs)
-        assert bat.summary.counts == obj.summary.counts
-        assert bat.summary.flapped == obj.summary.flapped
-        assert bat.confusion == obj.confusion
-        assert bat.repaired_mx_records == obj.repaired_mx_records
+        _assert_adoption_equal(obj, bat)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_adoption_experiment(num_domains=60, engine="vectorized")
+    @pytest.mark.parametrize("fault_seed", [77, 3])
+    def test_identical_under_fault_injection(self, fault_seed):
+        # Fault draws are keyed by entity, not by execution order, so the
+        # batch engine must reproduce the faulted verdicts too.
+        kwargs = dict(
+            num_domains=600, seed=9, fault_rate=0.05, fault_seed=fault_seed
+        )
+        obj = run_adoption_experiment(engine="object", **kwargs)
+        bat = run_adoption_experiment(engine="batch", **kwargs)
+        _assert_adoption_equal(obj, bat)
+
+    @pytest.mark.parametrize(
+        "profile", ["provider-consolidated", "dns-abuse"]
+    )
+    def test_identical_per_generator_profile(self, profile):
+        # provider-consolidated puts multi-MX domains on shared provider
+        # pools, whose exchangers the replay derives arithmetically.
+        config = profile_config(profile, num_domains=800)
+        kwargs = dict(seed=21, config=config, plant_popular=False)
+        obj = run_adoption_experiment(engine="object", **kwargs)
+        bat = run_adoption_experiment(engine="batch", **kwargs)
+        _assert_adoption_equal(obj, bat)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_identical_across_workers(self, workers):
+        obj = run_adoption_experiment(num_domains=1000, seed=5, engine="object")
+        bat = run_adoption_experiment(
+            num_domains=1000, seed=5, engine="batch", workers=workers
+        )
+        _assert_adoption_equal(obj, bat)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "columnar"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown adoption engine"):
+            run_adoption_experiment(num_domains=60, engine=engine)
 
 
 class TestInternetScaleEquivalence:

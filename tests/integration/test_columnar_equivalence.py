@@ -1,87 +1,16 @@
-"""Property tests: the columnar engine is bit-identical to object and batch.
+"""Property tests: the columnar internet-scale engine is bit-identical.
 
-The columnar pipeline (``engine="columnar"``) exists purely as a
-performance optimization — parallel fixed-width columns instead of domain
-objects, vectorized accounting instead of per-domain classification, a
-streamed deployment column instead of a materialized list.  None of that
-may show in any observable result, for any seed, profile, worker count,
-fault plan or chunk size.  These tests pin that contract, mirroring
-``test_batch_equivalence.py``.
+The columnar engine (``run_internet_scale(engine="columnar")``) exists
+purely as a memory optimization — a streamed deployment column instead of
+a materialized list.  None of that may show in any observable result, for
+any seed, deployment rate, worker count or chunk size.  These tests pin
+that contract, mirroring ``test_batch_equivalence.py``; CI also runs them
+without NumPy, on the ``array`` columns.
 """
 
 import pytest
 
-from repro.core.adoption import run_adoption_experiment
 from repro.core.internet_scale import run_internet_scale, sweep_deployment_rates
-from repro.scan.profiles import profile_config
-
-
-def _assert_adoption_equal(a, b):
-    assert b.summary.counts == a.summary.counts
-    assert b.summary.flapped == a.summary.flapped
-    assert b.summary.total_domains == a.summary.total_domains
-    assert b.summary.servers_covered == a.summary.servers_covered
-    assert b.summary.addresses_covered == a.summary.addresses_covered
-    assert b.confusion == a.confusion
-    assert b.repaired_mx_records == a.repaired_mx_records
-    assert b.crosscheck == a.crosscheck
-    assert b.ground_truth == a.ground_truth
-
-
-class TestAdoptionEquivalence:
-    @pytest.mark.parametrize("num_domains", [100, 1000])
-    def test_object_identical(self, num_domains):
-        obj = run_adoption_experiment(
-            num_domains=num_domains, seed=5, engine="object"
-        )
-        col = run_adoption_experiment(
-            num_domains=num_domains, seed=5, engine="columnar"
-        )
-        _assert_adoption_equal(obj, col)
-
-    def test_batch_identical_at_10k_vectorized(self):
-        # glue_elision_rate=0 and no faults is the fully vectorized path
-        # (no delegation to the batch replay) — compared against the batch
-        # engine at a size the object path need not run at.
-        kwargs = dict(num_domains=10_000, seed=13, glue_elision_rate=0.0)
-        bat = run_adoption_experiment(engine="batch", **kwargs)
-        col = run_adoption_experiment(engine="columnar", **kwargs)
-        _assert_adoption_equal(bat, col)
-
-    @pytest.mark.parametrize("fault_seed", [77, 3])
-    def test_identical_under_fault_injection(self, fault_seed):
-        # Faulted payloads delegate to the batch replay inside the
-        # columnar shard; the delegation must be invisible.
-        kwargs = dict(
-            num_domains=600, seed=9, fault_rate=0.05, fault_seed=fault_seed
-        )
-        obj = run_adoption_experiment(engine="object", **kwargs)
-        col = run_adoption_experiment(engine="columnar", **kwargs)
-        _assert_adoption_equal(obj, col)
-
-    @pytest.mark.parametrize(
-        "profile", ["provider-consolidated", "dns-abuse"]
-    )
-    def test_identical_per_generator_profile(self, profile):
-        config = profile_config(profile, num_domains=800)
-        kwargs = dict(seed=21, config=config, plant_popular=False)
-        obj = run_adoption_experiment(engine="object", **kwargs)
-        col = run_adoption_experiment(engine="columnar", **kwargs)
-        _assert_adoption_equal(obj, col)
-
-    def test_identical_across_workers(self):
-        runs = [
-            run_adoption_experiment(
-                num_domains=1000, seed=5, engine="columnar", workers=w
-            )
-            for w in (1, 2, 4)
-        ]
-        for other in runs[1:]:
-            _assert_adoption_equal(runs[0], other)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_adoption_experiment(num_domains=60, engine="columnarx")
 
 
 class TestInternetScaleEquivalence:

@@ -1,38 +1,31 @@
-"""Unit tests for the columnar pipeline (:mod:`repro.scan.columnar`).
+"""Unit tests for the batch generation replay and the streamed columns.
 
-The columns are a lossless re-encoding of the generator's ground truth:
-every cell must agree with what :class:`SyntheticInternet` actually built,
-on both the NumPy and the pure-Python ``array`` backends, and the streamed
-deployment column must replay the object path's draws exactly.
+The batch engine's replay (:func:`repro.scan.batch._replay_chunk`) is a
+lossless re-derivation of the generator's ground truth: every spec must
+agree with what :class:`SyntheticInternet` actually built.  The streamed
+deployment column (:mod:`repro.scan.columnar`) must replay the object
+path's draws exactly, on both the NumPy and the pure-Python ``array``
+backends.
 """
 
 import pytest
 
+from repro.scan.batch import _replay_chunk
 from repro.scan.columnar import (
     DEPLOY_GREYLISTED,
     DEPLOY_NOLISTED,
     DEPLOY_PLAIN,
-    NO_OUTAGE,
-    NO_POOL,
-    TOPO_POOL_BALANCED,
-    TOPO_POOL_FAILOVER,
-    ColumnarChunk,
-    build_columnar_chunk,
-    chunk_records,
-    columnar_adoption_shard,
     numpy_or_none,
-    pool_apex_of,
     stream_deployment_chunks,
 )
 from repro.scan.population import (
-    CATEGORY_ORDER,
     PopulationConfig,
     PopulationPlan,
     SyntheticInternet,
     population_params,
     provider_pool_apex,
 )
-from repro.scan.profiles import PROFILE_CODE, PROFILES, profile_config
+from repro.scan.profiles import PROFILES, profile_config
 from repro.sim.rng import RandomStream
 
 #: A config that exercises every topology branch: self-hosted multi-MX,
@@ -47,96 +40,55 @@ POOLED = dict(
 )
 
 
-def build_both(config: PopulationConfig, seed: int, chunk_index: int):
+def assert_replay_matches(config: PopulationConfig, seed: int, chunk_index: int):
+    """Every replayed spec equals the generator's ``DomainTruth``."""
     plan = PopulationPlan(config, seed)
-    chunk = build_columnar_chunk(plan, config, seed, chunk_index)
+    specs = _replay_chunk(plan, config, seed, chunk_index)
     internet = SyntheticInternet.shard(config, seed, [chunk_index])
-    return plan, chunk, internet
+    assert len(specs) == len(internet.domains) > 0
+    for spec, truth in zip(specs, internet.domains):
+        assert spec.name == truth.name
+        assert spec.category is truth.category
+        # Hostname, preference and address of every record, in order.
+        assert spec.records == [
+            (host, pref, None if addr is None else addr.value)
+            for host, pref, addr in truth.mx_hosts
+        ]
+        assert spec.outage_scan == truth.outage_scan
+        assert spec.persistent == truth.persistent_outage
+        if truth.provider_pool is None:
+            assert spec.pool_apex is None
+        else:
+            assert spec.pool_apex == provider_pool_apex(truth.provider_pool)
+    return specs
 
 
-class TestColumnsMatchGroundTruth:
+class TestReplayMatchesGroundTruth:
     @pytest.mark.parametrize("chunk_index", [0, 1])
     def test_pooled_config(self, chunk_index):
-        config = PopulationConfig(**POOLED)
-        plan, chunk, internet = build_both(config, 42, chunk_index)
-        rows = plan.chunk_rows(chunk_index)
-        assert chunk.n == len(rows) == len(internet.domains)
-        for i, (truth, (_, name, category, rank)) in enumerate(
-            zip(internet.domains, rows)
-        ):
-            assert truth.name == name
-            assert CATEGORY_ORDER[int(chunk.category[i])] is category
-            assert CATEGORY_ORDER[int(chunk.category[i])] is truth.category
-            assert int(chunk.rank[i]) == rank
-            # The MX record triples are derivable, not stored: hostname,
-            # preference and address must all round-trip.
-            expected = [
-                (host, pref, None if addr is None else addr.value)
-                for host, pref, addr in truth.mx_hosts
-            ]
-            assert chunk_records(chunk, i, name) == expected
-            assert int(chunk.mx_count[i]) == len(truth.mx_hosts)
-            # Outage schedule and provider-pool cells.
-            outage = int(chunk.outage_scan[i])
-            assert (None if outage == NO_OUTAGE else outage) == truth.outage_scan
-            assert bool(chunk.persistent[i]) == truth.persistent_outage
-            pool = int(chunk.provider_pool[i])
-            assert (None if pool == NO_POOL else pool) == truth.provider_pool
-            if truth.provider_pool is not None:
-                expected_topo = (
-                    TOPO_POOL_BALANCED
-                    if truth.pool_balanced
-                    else TOPO_POOL_FAILOVER
-                )
-                assert int(chunk.topology[i]) == expected_topo
-                assert pool_apex_of(chunk, i) == provider_pool_apex(
-                    truth.provider_pool
-                )
-            else:
-                assert pool_apex_of(chunk, i) is None
+        specs = assert_replay_matches(PopulationConfig(**POOLED), 42, chunk_index)
+        # The config really reaches the branches it exists for.
+        assert any(spec.pool_apex is not None for spec in specs)
+        assert any(spec.persistent for spec in specs)
+        assert any(spec.outage_scan is not None for spec in specs)
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_every_profile(self, name):
-        config = profile_config(name, num_domains=400)
-        _, chunk, internet = build_both(config, 7, 0)
-        assert all(p == PROFILE_CODE[name] for p in chunk.profile)
-        for i, truth in enumerate(internet.domains):
-            expected = [
-                (host, pref, None if addr is None else addr.value)
-                for host, pref, addr in truth.mx_hosts
-            ]
-            assert chunk_records(chunk, i, truth.name) == expected
+        assert_replay_matches(profile_config(name, num_domains=400), 7, 0)
 
 
-class TestFallbackBackend:
-    def test_fallback_columns_identical(self, monkeypatch):
-        config = PopulationConfig(**POOLED)
-        plan = PopulationPlan(config, 42)
-        with_numpy = build_columnar_chunk(plan, config, 42, 0)
+@pytest.fixture(params=["numpy", "array"])
+def column_backend(request, monkeypatch):
+    """Run a test on NumPy columns and on the ``array`` fallback."""
+    if request.param == "array":
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         assert numpy_or_none() is None
-        fallback = build_columnar_chunk(plan, config, 42, 0)
-        assert fallback.n == with_numpy.n
-        for column in ColumnarChunk.__slots__:
-            a, b = getattr(with_numpy, column), getattr(fallback, column)
-            if not hasattr(a, "__len__"):
-                assert a == b  # scalar metadata
-                continue
-            assert [int(x) for x in a] == [int(x) for x in b]
-
-    def test_fallback_shard_identical(self, monkeypatch):
-        config = profile_config("provider-consolidated", num_domains=500)
-        payload = {
-            "population": population_params(config),
-            "seed": 11,
-            "glue_elision_rate": 0.0,
-            "chunk": 0,
-        }
-        with_numpy = columnar_adoption_shard(dict(payload))
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert columnar_adoption_shard(dict(payload)) == with_numpy
+    elif numpy_or_none() is None:
+        pytest.skip("NumPy is not available")
+    return request.param
 
 
+@pytest.mark.usefixtures("column_backend")
 class TestDeploymentStreaming:
     def _object_replay(self, seed, num_domains, nolisting, greylisting):
         """The object path's draw loop, verbatim (internet_scale.py)."""
@@ -178,9 +130,8 @@ class TestDeploymentStreaming:
 
 
 class TestProfiles:
-    def test_registry_and_codes_aligned(self):
-        assert set(PROFILE_CODE) == set(PROFILES)
-        assert len(set(PROFILE_CODE.values())) == len(PROFILE_CODE)
+    def test_registry_keyed_by_profile_name(self):
+        assert all(profile.name == name for name, profile in PROFILES.items())
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_configs_valid_and_roundtrip(self, name):

@@ -103,6 +103,21 @@ class TestTimingGate:
         assert result.returncode == 0
         assert "no reference time" in result.stdout
 
+    def test_missing_bench_is_reported_but_passes(self, tmp_path):
+        # A baseline bench absent from the current snapshot (skipped on a
+        # small runner, or removed) is named, not failed.  Its throughput
+        # floor goes with it.
+        shrunk = dict(BASE)
+        del shrunk["c.py::test_serve"]
+        result = run_gate(
+            snapshot(tmp_path / "base.json", BASE),
+            snapshot(tmp_path / "cur.json", shrunk),
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "c.py::test_serve: in baseline" in result.stdout
+        assert "not run" in result.stdout
+        assert "REGRESSION" not in result.stdout
+
     def test_allow_override_reports_but_passes(self, tmp_path):
         slow = dict(BASE)
         slow["b.py::test_b"] = (0.200 * 2.0, {})

@@ -74,6 +74,8 @@ def _drain_body(index, sock):
     """Worker that serves nothing and drains cleanly on SIGTERM."""
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    # Workers start with the drain signals blocked (WorkerBody contract).
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     stop.wait(timeout=30)
     return 0 if stop.is_set() else 1
 
@@ -296,3 +298,55 @@ class TestPreforkDaemon:
         )
         assert proc.returncode == 2
         assert "requires --store-backend shm" in proc.stderr
+
+
+class TestStartupSignalRace:
+    """SIGTERM sent the moment ``listening on`` is read still drains.
+
+    The announce line is the daemon's readiness signal (the smoke job and
+    the benchmark stop a daemon right after reading it), so a stop
+    request may land before a worker has booted.  The drain signals are
+    held pending until their handlers exist; every attempt must exit 0
+    with its ``served`` line(s).
+    """
+
+    ATTEMPTS = 8
+
+    @pytest.mark.parametrize(
+        "cli_args,served_lines",
+        [
+            (("serve", "--clock", "replay"), 1),
+            (
+                (
+                    "--workers", "2", "--store-backend", "shm",
+                    "serve", "--clock", "replay",
+                ),
+                2,
+            ),
+        ],
+        ids=["single-process", "prefork"],
+    )
+    def test_sigterm_on_announce_drains(self, cli_args, served_lines):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        for attempt in range(self.ATTEMPTS):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", *cli_args],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                env=env,
+                start_new_session=True,
+            )
+            try:
+                line = proc.stdout.readline()
+                assert line.startswith("listening on "), line
+                status, output = stop_daemon(proc)
+            finally:
+                if proc.poll() is None:  # a hung fleet must not outlive us
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.wait(timeout=30)
+            assert status == 0, f"attempt {attempt}: {status}\n{output}"
+            assert output.count("served ") == served_lines, (
+                f"attempt {attempt}:\n{output}"
+            )
