@@ -75,7 +75,6 @@ def _cmd_internet_scale(args: argparse.Namespace) -> int:
         cache=cache,
         num_domains=args.domains,
         engine=args.engine,
-        store_backend=args.store_backend,
     )
     print(
         render_table(
@@ -146,8 +145,6 @@ def _cmd_kelihos(args: argparse.Namespace) -> int:
         args.threshold,
         num_messages=args.messages,
         seed=args.seed,
-        store_backend=args.store_backend,
-        store_path=args.store_path,
     )
     if args.threshold >= 21600:
         print(figure4_text(result))
@@ -186,9 +183,7 @@ def _cmd_synergy(args: argparse.Namespace) -> int:
         )
     )
     print()
-    sweep = sweep_greylist_delay(
-        seed=args.seed, store_backend=args.store_backend
-    )
+    sweep = sweep_greylist_delay(seed=args.seed)
     print(
         render_table(
             headers=("Greylist delay", "Delivery rate"),
@@ -354,7 +349,7 @@ def _build_serve_chain(args: argparse.Namespace, clock, backend):
 
 def _serve_backend(args: argparse.Namespace):
     """Create the triplet backend the serve command was asked for."""
-    from .greylist.backends import SERVING_COMMIT_EVERY, create_backend
+    from .greylist.backends import create_backend
 
     if args.store_backend == "shm":
         from .greylist.shm import SharedMemoryBackend
@@ -368,9 +363,7 @@ def _serve_backend(args: argparse.Namespace):
             capacity=args.shm_capacity,
             persist=args.store_path is not None,
         )
-    return create_backend(
-        args.store_backend, args.store_path, commit_every=SERVING_COMMIT_EVERY
-    )
+    return create_backend(args.store_backend, args.store_path)
 
 
 def _serve_worker(
@@ -464,6 +457,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "error: --workers > 1 requires --store-backend shm "
                 "(workers share one memory segment; the other backends "
                 "are process-private or single-writer)",
+                file=sys.stderr,
+            )
+            return 2
+        if args.throttle_max > 0:
+            print(
+                "error: --throttle-max cannot be combined with --workers > 1 "
+                "(each worker keeps its own throttle windows, so a fleet "
+                "of N would admit up to N times the limit)",
                 file=sys.stderr,
             )
             return 2
@@ -603,8 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default="memory",
         help=(
-            "triplet-store backend for greylisting policies (results are "
-            "bit-for-bit identical; sqlite/journal survive restarts)"
+            "triplet-store backend of the serve daemon (serve only; "
+            "simulations always use the in-process dict; "
+            "sqlite/journal/shm can survive restarts)"
         ),
     )
     parser.add_argument(
@@ -612,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "on-disk location for a durable triplet store "
-            "(default: volatile, even for sqlite/journal)"
+            "on-disk location of the serve daemon's triplet store "
+            "(serve only; default: volatile, even for sqlite/journal)"
         ),
     )
     parser.add_argument(
@@ -849,6 +851,16 @@ def _run_profiled(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "serve" and (
+        args.store_backend != "memory" or args.store_path is not None
+    ):
+        print(
+            "error: --store-backend/--store-path configure the serve "
+            f"daemon only; {args.command!r} always simulates on the "
+            "in-process store",
+            file=sys.stderr,
+        )
+        return 2
     if args.profile or args.profile_out is not None:
         return _run_profiled(args)
     return args.func(args)

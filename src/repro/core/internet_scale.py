@@ -90,14 +90,8 @@ def run_internet_scale(
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
-    store_backend: str = "memory",
 ) -> InternetScaleResult:
     """Run one spam wave through a mixed-deployment internet.
-
-    ``store_backend`` selects the triplet-store backend of every
-    greylisted domain's policy (:mod:`repro.greylist.backends`);
-    backends are bit-for-bit equivalent, so results are identical for
-    any choice — which the backend-equivalence suite asserts.
 
     ``engine="object"`` simulates every DNS lookup, connection and SMTP
     dialogue on the event scheduler; ``engine="batch"`` collapses the wave
@@ -135,7 +129,6 @@ def run_internet_scale(
             session_cache=session_cache,
             counters=counters,
             chunk_domains=chunk_domains,
-            store_backend=store_backend,
         )
     rng = RandomStream(seed, "internet-scale")
     scheduler = EventScheduler(Clock())
@@ -157,9 +150,7 @@ def run_internet_scale(
             builder = setup_nolisting
         elif roll < nolisting_rate + greylisting_rate:
             policy = GreylistPolicy(
-                clock=scheduler.clock,
-                delay=greylist_delay,
-                store_backend=store_backend,
+                clock=scheduler.clock, delay=greylist_delay
             )
             builder = setup_single_mx
         else:
@@ -288,7 +279,6 @@ def _resolve_wave(
     horizon: float,
     session_cache: Optional[SessionOutcomeCache],
     counters: Optional[BatchCounters],
-    store_backend: str = "memory",
 ) -> tuple:
     """Resolve every message of a replayed wave through session playbooks.
 
@@ -357,7 +347,6 @@ def _resolve_wave(
                 f.helo_name,
                 greylist_delay=greylist_delay,
                 greylist_phase="new",
-                store_backend=store_backend,
             ),
         )
         if first.delivered:
@@ -386,7 +375,6 @@ def _resolve_wave(
                     f.helo_name,
                     greylist_delay=greylist_delay,
                     greylist_phase=p,
-                    store_backend=store_backend,
                 ),
             )
             if retry.delivered:
@@ -414,7 +402,6 @@ def _run_internet_scale_batched(
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
-    store_backend: str = "memory",
 ) -> InternetScaleResult:
     """The equivalence-class engine behind ``engine="batch"``.
 
@@ -446,7 +433,6 @@ def _run_internet_scale_batched(
         horizon,
         session_cache,
         counters,
-        store_backend=store_backend,
     )
     return _assemble_result(
         num_domains,
@@ -468,7 +454,6 @@ def _run_internet_scale_columnar(
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
-    store_backend: str = "memory",
 ) -> InternetScaleResult:
     """The streaming engine behind ``engine="columnar"``.
 
@@ -510,7 +495,6 @@ def _run_internet_scale_columnar(
         horizon,
         session_cache,
         counters,
-        store_backend=store_backend,
     )
     return _assemble_result(
         num_domains,
@@ -529,7 +513,6 @@ def sweep_deployment_rates(
     cache=None,
     num_domains: int = 60,
     engine: str = "object",
-    store_backend: str = "memory",
 ) -> List[InternetScaleResult]:
     """Block rate as deployment grows — the "what if adoption rose" curve.
 
@@ -558,13 +541,6 @@ def sweep_deployment_rates(
             # Only present when batching, so object-path payloads keep
             # their pre-batch-engine cache identity.
             **({"engine": engine} if engine != "object" else {}),
-            # Same idiom: the key exists only off the default backend, so
-            # memory-backend payloads keep their pre-backend cache identity.
-            **(
-                {"store_backend": store_backend}
-                if store_backend != "memory"
-                else {}
-            ),
         }
         for (grey, nolist) in rates
     ]

@@ -64,7 +64,6 @@ def build_playbook(
     dnsbl: bool = False,
     listed: bool = False,
     greylist_phase: str = "new",
-    store_backend: str = "memory",
 ) -> SessionPlaybook:
     """Drive one real session for a class and freeze it as a playbook.
 
@@ -72,9 +71,6 @@ def build_playbook(
     server greylists with that threshold and the dialogue arrives with its
     triplet in ``greylist_phase``.  ``dnsbl`` stacks a DNSBL policy in
     front (the synergy ordering), with the client pre-``listed`` or not.
-    ``store_backend`` selects the greylist policy's triplet-store backend
-    (:mod:`repro.greylist.backends`); backends are bit-for-bit
-    equivalent, so it is deliberately absent from playbook cache keys.
     """
     if greylist_phase not in GREYLIST_PHASES:
         raise ValueError(f"unknown greylist phase {greylist_phase!r}")
@@ -90,11 +86,7 @@ def build_playbook(
         )
         policies.append(DNSBLPolicy(blacklist, report_attempts=False))
     if greylist_delay is not None:
-        policies.append(
-            GreylistPolicy(
-                clock=clock, delay=greylist_delay, store_backend=store_backend
-            )
-        )
+        policies.append(GreylistPolicy(clock=clock, delay=greylist_delay))
     policy: Optional[ConnectionPolicy] = None
     if len(policies) == 1:
         policy = policies[0]

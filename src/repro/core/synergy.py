@@ -74,7 +74,6 @@ def run_synergy_experiment(
     engine: str = "object",
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
-    store_backend: str = "memory",
 ) -> SynergyResult:
     """Run one bot against one policy configuration.
 
@@ -113,7 +112,6 @@ def run_synergy_experiment(
             horizon=horizon,
             session_cache=session_cache,
             counters=counters,
-            store_backend=store_backend,
         )
 
     scheduler = EventScheduler(Clock())
@@ -143,11 +141,7 @@ def run_synergy_experiment(
         policies.append(dnsbl_policy)
     if configuration in ("greylist", "both"):
         policies.append(
-            GreylistPolicy(
-                clock=scheduler.clock,
-                delay=greylist_delay,
-                store_backend=store_backend,
-            )
+            GreylistPolicy(clock=scheduler.clock, delay=greylist_delay)
         )
 
     server = SMTPServer(
@@ -210,7 +204,6 @@ def _run_synergy_batched(
     horizon: float,
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
-    store_backend: str = "memory",
 ) -> SynergyResult:
     """The equivalence-class engine behind ``engine="batch"``.
 
@@ -299,7 +292,6 @@ def _run_synergy_batched(
                 dnsbl=dnsbl_active,
                 listed=is_listed,
                 greylist_phase=grey_phase,
-                store_backend=store_backend,
                 **grey_kwargs,
             ),
         )
@@ -428,7 +420,6 @@ def sweep_greylist_delay(
     workers: int = 1,
     cache=None,
     engine: str = "object",
-    store_backend: str = "memory",
 ) -> List[SynergyResult]:
     """Which greylisting threshold buys the blacklist enough time?
 
@@ -456,13 +447,6 @@ def sweep_greylist_delay(
             # Only present when batching, so object-path payloads keep
             # their pre-batch-engine cache identity.
             **({"engine": engine} if engine != "object" else {}),
-            # Same idiom: the key exists only off the default backend, so
-            # memory-backend payloads keep their pre-backend cache identity.
-            **(
-                {"store_backend": store_backend}
-                if store_backend != "memory"
-                else {}
-            ),
         }
         for delay in delays
     ]

@@ -83,10 +83,6 @@ class TestbedConfig:
     victim_domain: str = "victim.example"
     greylist_delay: float = 300.0
     greylist_whitelist: Optional[Whitelist] = None
-    #: triplet-store backend for the greylist policy (memory/sqlite/journal)
-    greylist_store_backend: str = "memory"
-    #: on-disk location for a durable triplet store (None = volatile)
-    greylist_store_path: Optional[str] = None
     #: recipients that bypass greylisting (the paper's control addresses)
     unprotected_recipients: Set[str] = field(default_factory=set)
     address_space: str = "192.0.2.0/24"
@@ -113,8 +109,6 @@ class Testbed:
                 clock=self.clock,
                 delay=config.greylist_delay,
                 whitelist=config.greylist_whitelist,
-                store_backend=config.greylist_store_backend,
-                store_path=config.greylist_store_path,
             )
             policy = self.greylist
         else:

@@ -26,7 +26,6 @@ from .persistence import (
     format_entry_line,
     load_store,
     parse_entry_line,
-    save_compacted,
     snapshot_size_bytes,
 )
 from .policy import (
@@ -64,7 +63,6 @@ __all__ = [
     "load_store",
     "measure_cost",
     "parse_entry_line",
-    "save_compacted",
     "snapshot_size_bytes",
     "DEFAULT_WHITELISTED_DOMAINS",
     "GreylistAction",

@@ -8,15 +8,20 @@ storage concern out of :class:`~repro.greylist.store.TripletStore` into a
 narrow :class:`TripletBackend` interface so the simulated and (future)
 served policy paths share one durable core:
 
-* :class:`MemoryBackend` — the original in-process dict; the default, and
-  the behavioural reference for the other two.
+* :class:`MemoryBackend` — the original in-process dict; the default, the
+  one every simulation runs on, and the behavioural reference for the
+  others.
 * :class:`SQLiteBackend` — a WAL-mode SQLite database with an
   iRedAPD-style tracking schema (triplet key columns, first/last-seen
-  timestamps, attempt counter, pass marker) plus an expiry index, for
-  durable multi-worker serving.
-* :class:`JournalBackend` — an append-only snapshot+log on the
-  :mod:`~repro.greylist.persistence` v1 line format, for cheap
-  checkpoint/resume of longitudinal campaigns.
+  timestamps, attempt counter, pass marker) plus an expiry index.
+* :class:`JournalBackend` — the dict plus an append-only snapshot+log on
+  the :mod:`~repro.greylist.persistence` v1 line format.
+* :class:`~repro.greylist.shm.SharedMemoryBackend` — one table in a
+  shared-memory segment for the prefork fleet.
+
+Which backend holds the state is a setting of the policy daemon
+(``repro --store-backend … serve``): durability is a property of the
+deployed server, not of the measurement.
 
 Determinism contract: every backend must be *bit-for-bit* equivalent —
 identical :class:`~repro.greylist.policy.GreylistEvent` streams, store
@@ -33,9 +38,9 @@ make this hold:
    (lossless), and the journal reuses the snapshot format's ``repr()``
    encoding (shortest exact decimal).
 3. ``scan()`` order is insertion order (updates keep an entry's
-   position; a delete + re-insert moves it to the end), which all three
-   backends implement — the dict natively, SQLite via an
-   ``AUTOINCREMENT`` rowid, the journal via replay order.
+   position; a delete + re-insert moves it to the end) — the dict
+   natively, SQLite via an ``AUTOINCREMENT`` rowid, the journal via
+   replay order.
 """
 
 from __future__ import annotations
@@ -48,6 +53,14 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
+from .persistence import (
+    PersistenceError,
+    format_entry_line,
+    parse_entry_line,
+    read_entries,
+    record_lines,
+    write_entries,
+)
 from .store import TripletEntry
 from .triplet import Triplet
 
@@ -62,6 +75,17 @@ JOURNAL_HEADER = "# repro-greylist-journal v1"
 #: never *miss* an entry the exact Python predicate would expire (float
 #: rounding at the boundary is ulp-scale; one second is beyond generous).
 _EXPIRY_SLACK = 1.0
+
+#: SQLite mutations per WAL commit.  A policy daemon answers *live* MTAs:
+#: the batch bounds how many acknowledged decisions a crash can lose to
+#: one commit (~0.1 ms under WAL+NORMAL, so the throughput cost is noise),
+#: and the server's periodic flush loop caps the loss window in time.
+COMMIT_EVERY = 128
+
+#: Journal ops a :class:`JournalBackend` always tolerates before
+#: :meth:`~JournalBackend.flush` checkpoints, so a near-empty store is not
+#: re-snapshotted on every flush.
+CHECKPOINT_FLOOR = 1024
 
 
 def timestamps_expired(
@@ -243,7 +267,11 @@ class MemoryBackend(TripletBackend):
                 confirmed += 1
             else:
                 unconfirmed += 1
+        self._expired(stale)
         return unconfirmed, confirmed
+
+    def _expired(self, stale: List[Triplet]) -> None:
+        """Hook: ``stale`` were just removed by :meth:`expire`."""
 
     def mark_passed(self, triplet: Triplet, now: float) -> bool:
         entry = self._entries.get(triplet)
@@ -327,10 +355,10 @@ class SQLiteBackend(TripletBackend):
     a future policy server read from several workers while one writer
     appends — the concurrency model Postfix policy daemons need.
 
-    Writes are batched: the connection stays inside an explicit
-    transaction that is committed every ``commit_every`` mutations (and
-    on :meth:`flush`/:meth:`close`).  Reads on the same connection see
-    the uncommitted batch, so batching is invisible to the simulation.
+    Writes are batched: the first write opens a transaction that is
+    committed after :data:`COMMIT_EVERY` mutations (and on
+    :meth:`flush`/:meth:`close`).  Reads on the same connection see the
+    uncommitted batch, so batching is invisible to decisions.
 
     ``path=None`` opens a private in-memory database — handy for
     equivalence tests and worker processes that only need the schema,
@@ -339,23 +367,19 @@ class SQLiteBackend(TripletBackend):
 
     name = "sqlite"
 
-    def __init__(
-        self,
-        path: Union[str, Path, None] = None,
-        commit_every: int = 1024,
-    ) -> None:
-        if commit_every < 1:
-            raise ValueError("commit_every must be >= 1")
+    def __init__(self, path: Union[str, Path, None] = None) -> None:
         self.path = str(path) if path is not None else None
-        self.commit_every = commit_every
         # cached_statements: every statement here is a module constant,
         # so a modest cache holds the whole working set and each execute
         # reuses its prepared statement (the default 128 already would;
         # being explicit documents that we rely on it).
+        # DEFERRED: the sqlite3 module opens a transaction before the
+        # first write of a batch, which flush() commits.
         self._conn = sqlite3.connect(
-            self.path or ":memory:", cached_statements=256
+            self.path or ":memory:",
+            cached_statements=256,
+            isolation_level="DEFERRED",
         )
-        self._conn.isolation_level = None  # explicit transaction control
         if self.path is not None:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
@@ -377,7 +401,7 @@ class SQLiteBackend(TripletBackend):
     # -- batching ------------------------------------------------------
     def _mutated(self, count: int = 1) -> None:
         self._pending += count
-        if self._pending >= self.commit_every:
+        if self._pending >= COMMIT_EVERY:
             self.flush()
 
     def flush(self) -> None:
@@ -550,8 +574,8 @@ class SQLiteBackend(TripletBackend):
 # ----------------------------------------------------------------------
 # Append-only journal (snapshot + op log)
 # ----------------------------------------------------------------------
-class JournalBackend(TripletBackend):
-    """Dict state with an append-only recovery log.
+class JournalBackend(MemoryBackend):
+    """The dict backend plus an append-only recovery log.
 
     The durable pair is ``<path>`` (a full v1 snapshot, written by
     :meth:`checkpoint`) and ``<path>.journal`` (one line per mutation
@@ -560,6 +584,13 @@ class JournalBackend(TripletBackend):
     tombstone.  Recovery loads the snapshot, then replays the journal in
     order — making restart cost proportional to the churn since the last
     checkpoint, not to history.
+
+    Checkpointing is driven by the data: :meth:`flush` (which the policy
+    daemon calls every second) checkpoints once the journal holds more
+    ops than the store holds live entries, and at least
+    :data:`CHECKPOINT_FLOOR`.  The journal therefore stays within a
+    constant factor of the snapshot however long the daemon runs, and
+    each checkpoint's cost is paid for by the ops that triggered it.
 
     Crash semantics: a torn final journal line (the write the crash
     interrupted) is quarantined to ``<path>.journal.corrupt`` and
@@ -575,16 +606,9 @@ class JournalBackend(TripletBackend):
 
     name = "journal"
 
-    def __init__(
-        self,
-        path: Union[str, Path, None] = None,
-        checkpoint_every: Optional[int] = None,
-    ) -> None:
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 or None")
+    def __init__(self, path: Union[str, Path, None] = None) -> None:
+        super().__init__()
         self.path = Path(path) if path is not None else None
-        self.checkpoint_every = checkpoint_every
-        self._entries: Dict[Triplet, TripletEntry] = {}
         #: mutations appended since the last checkpoint
         self.journal_ops = 0
         #: whether recovery dropped a torn final journal line
@@ -604,25 +628,12 @@ class JournalBackend(TripletBackend):
 
     # -- recovery ------------------------------------------------------
     def _recover(self) -> None:
-        from .persistence import (
-            FORMAT_HEADER,
-            PersistenceError,
-            parse_entry_line,
-        )
-
         assert self.path is not None
         if self.path.exists():
             text = self.path.read_text(encoding="utf-8")
-            lines = text.splitlines()
-            if not lines or lines[0].strip() != FORMAT_HEADER:
-                raise PersistenceError(
-                    f"{self.path}: missing or unknown snapshot header"
-                )
-            for number, line in enumerate(lines[1:], start=2):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                entry = parse_entry_line(line, number)
+            for entry in read_entries(
+                text, f"{self.path}: missing or unknown snapshot header"
+            ):
                 self._entries[entry.triplet] = entry
 
         journal_path = self._journal_path
@@ -637,7 +648,11 @@ class JournalBackend(TripletBackend):
             # The crash interrupted the final append; the partial record
             # never became durable.  Drop and quarantine it.
             text, _, torn_tail = text.rpartition("\n")
-        self._replay_journal(text)
+        try:
+            self._replay_journal(text)
+        except PersistenceError:
+            self._quarantine_journal()
+            raise
         if torn_tail is not None:
             self.recovered_torn_tail = True
             quarantine = journal_path.with_name(
@@ -649,51 +664,34 @@ class JournalBackend(TripletBackend):
             )
 
     def _replay_journal(self, text: str) -> None:
-        from .persistence import PersistenceError, parse_entry_line
-
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != JOURNAL_HEADER:
-            self._quarantine_journal()
-            raise PersistenceError(
-                f"{self._journal_path}: missing or unknown journal header"
-            )
-        for number, line in enumerate(lines[1:], start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for number, line in record_lines(
+            text,
+            JOURNAL_HEADER,
+            f"{self._journal_path}: missing or unknown journal header",
+        ):
             if line.startswith("- "):
-                parts = line[2:].split()
-                if len(parts) != 3:
-                    self._quarantine_journal()
-                    raise PersistenceError(
-                        f"malformed journal tombstone line {number}: {line!r}"
-                    )
                 try:
+                    client, sender, recipient = line[2:].split()
                     triplet = Triplet(
-                        IPv4Address.parse(parts[0]), parts[1], parts[2]
+                        IPv4Address.parse(client), sender, recipient
                     )
                 except ValueError:
-                    self._quarantine_journal()
                     raise PersistenceError(
                         f"malformed journal tombstone line {number}: {line!r}"
                     ) from None
                 self._entries.pop(triplet, None)
-                self.journal_ops += 1
-                continue
-            try:
-                entry = parse_entry_line(line, number)
-            except PersistenceError:
-                self._quarantine_journal()
-                raise PersistenceError(
-                    f"malformed journal line {number}: {line!r}"
-                ) from None
-            self._entries[entry.triplet] = entry
+            else:
+                try:
+                    entry = parse_entry_line(line, number)
+                except PersistenceError:
+                    raise PersistenceError(
+                        f"malformed journal line {number}: {line!r}"
+                    ) from None
+                self._entries[entry.triplet] = entry
             self.journal_ops += 1
 
     def _quarantine_journal(self) -> None:
-        """Copy a corrupt journal aside so the evidence survives."""
-        if self.path is None:  # pragma: no cover - in-memory never corrupt
-            return
+        """Move a corrupt journal aside so the evidence survives."""
         journal_path = self._journal_path
         if journal_path.exists():
             quarantine = journal_path.with_name(
@@ -705,11 +703,11 @@ class JournalBackend(TripletBackend):
     def _append(self, line: str) -> None:
         self._journal.write(line + "\n")
         self.journal_ops += 1
-        if (
-            self.checkpoint_every is not None
-            and self.journal_ops >= self.checkpoint_every
-        ):
-            self.checkpoint()
+
+    def _append_tombstone(self, triplet: Triplet) -> None:
+        self._append(
+            f"- {triplet.client} {triplet.sender} {triplet.recipient}"
+        )
 
     def checkpoint(self) -> int:
         """Write a full snapshot and truncate the journal.
@@ -717,87 +715,50 @@ class JournalBackend(TripletBackend):
         Returns the number of entries snapshotted.  In-memory journals
         just reset their buffer (same op-count semantics).
         """
-        from .persistence import FORMAT_HEADER, format_entry_line
-
-        lines = [FORMAT_HEADER]
-        lines.extend(format_entry_line(e) for e in self._entries.values())
-        snapshot = "\n".join(lines) + "\n"
+        snapshot = write_entries(self._entries.values())
         if self.path is not None:
             tmp = self.path.with_name(self.path.name + ".tmp")
-            # Checkpointing from the serving loop is deliberate: it only
-            # triggers every checkpoint_every mutations (None by default
-            # when serving) and the snapshot write is bounded by the
-            # store size the operator chose to journal.
-            tmp.write_text(snapshot, encoding="utf-8")  # repro: noqa ASY001 - rare bounded checkpoint; serving disables checkpoint_every
+            # Checkpointing from the serving loop is deliberate: flush()
+            # only checkpoints once the journal outgrows the live store,
+            # so each snapshot write is paid for by as many journal ops.
+            tmp.write_text(snapshot, encoding="utf-8")  # repro: noqa ASY001 - amortised checkpoint: runs once journal ops exceed the live entries
             os.replace(tmp, self.path)
             self._journal.close()
-            self._journal = open(self._journal_path, "w", encoding="utf-8")  # repro: noqa ASY001 - rare bounded checkpoint; serving disables checkpoint_every
+            self._journal = open(self._journal_path, "w", encoding="utf-8")  # repro: noqa ASY001 - amortised checkpoint: runs once journal ops exceed the live entries
         else:
             self._journal = io.StringIO()
         self._journal.write(JOURNAL_HEADER + "\n")
         # Make the fresh header durable at once: a crash between here and
         # the next flush must not leave a header-less journal behind.
-        self.flush()
+        self._journal.flush()
         self.journal_ops = 0
         return len(self._entries)
 
-    # -- interface -----------------------------------------------------
-    def get(self, triplet: Triplet) -> Optional[TripletEntry]:
-        return self._entries.get(triplet)
-
+    # -- mutations: the dict's, each journalled ------------------------
     def put(self, entry: TripletEntry) -> None:
-        from .persistence import format_entry_line
-
-        self._entries[entry.triplet] = entry
+        super().put(entry)
         self._append(format_entry_line(entry))
 
     def delete(self, triplet: Triplet) -> bool:
-        if self._entries.pop(triplet, None) is None:
+        if not super().delete(triplet):
             return False
-        self._append(
-            f"- {triplet.client} {triplet.sender} {triplet.recipient}"
-        )
+        self._append_tombstone(triplet)
         return True
 
-    def scan(self) -> Iterator[TripletEntry]:
-        return iter(list(self._entries.values()))
-
-    def expire(
-        self, now: float, retry_window: float, whitelist_lifetime: float
-    ) -> Tuple[int, int]:
-        stale = [
-            triplet
-            for triplet, entry in self._entries.items()
-            if entry_is_expired(entry, now, retry_window, whitelist_lifetime)
-        ]
-        unconfirmed = confirmed = 0
+    def _expired(self, stale: List[Triplet]) -> None:
         for triplet in stale:
-            entry = self._entries.pop(triplet)
-            self._append(
-                f"- {triplet.client} {triplet.sender} {triplet.recipient}"
-            )
-            if entry.passed:
-                confirmed += 1
-            else:
-                unconfirmed += 1
-        return unconfirmed, confirmed
+            self._append_tombstone(triplet)
 
     def mark_passed(self, triplet: Triplet, now: float) -> bool:
-        from .persistence import format_entry_line
-
-        entry = self._entries.get(triplet)
-        if entry is None or entry.passed:
+        if not super().mark_passed(triplet, now):
             return False
-        entry.passed = True
-        entry.passed_at = now
-        self._append(format_entry_line(entry))
+        self._append(format_entry_line(self._entries[triplet]))
         return True
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def flush(self) -> None:
-        if self.path is not None:
+        if self.journal_ops > max(len(self._entries), CHECKPOINT_FLOOR):
+            self.checkpoint()
+        elif self.path is not None:
             self._journal.flush()
 
     def close(self) -> None:
@@ -809,33 +770,18 @@ class JournalBackend(TripletBackend):
 # ----------------------------------------------------------------------
 # Factory
 # ----------------------------------------------------------------------
-#: ``commit_every`` the serving daemon uses for SQLite.  Simulation runs
-#: favour huge batches (1024 — throughput is everything, the process owns
-#: the data).  A policy daemon answers *live* MTAs: a smaller batch bounds
-#: how many acknowledged decisions a crash can lose to one WAL commit
-#: (~0.1 ms under WAL+NORMAL, so the throughput cost is noise), and the
-#: server's periodic flush loop caps the loss window in time as well.
-SERVING_COMMIT_EVERY = 128
-
-
 def create_backend(
-    name: str,
-    path: Union[str, Path, None] = None,
-    commit_every: Optional[int] = None,
+    name: str, path: Union[str, Path, None] = None
 ) -> TripletBackend:
-    """Build a backend by registry name (``memory``/``sqlite``/``journal``).
+    """Build a backend by registry name (one of :data:`BACKEND_NAMES`).
 
     ``path`` is the on-disk location for the durable backends (ignored by
     ``memory``; ``None`` means volatile operation for all of them — for
-    ``shm``, a private segment destroyed on close).  ``commit_every``
-    overrides the SQLite write-batch size (ignored by the other
-    backends); the serving CLI passes :data:`SERVING_COMMIT_EVERY`.
+    ``shm``, a private segment destroyed on close).
     """
     if name == "memory":
         return MemoryBackend()
     if name == "sqlite":
-        if commit_every is not None:
-            return SQLiteBackend(path, commit_every=commit_every)
         return SQLiteBackend(path)
     if name == "journal":
         return JournalBackend(path)

@@ -2,20 +2,21 @@
 
 Postgrey keeps its triplet state in an on-disk BerkeleyDB; restarts must
 not forget who already passed (or every sender would eat the delay again).
-This module provides a text snapshot format for :class:`TripletStore` —
-dump, load, and a compacting save that drops expired entries, mirroring
-Postgrey's periodic database cleanup.
+This module provides a text snapshot format for :class:`TripletStore`:
+dump and load.  (Postgrey's periodic cleanup is :meth:`TripletStore.sweep`
+followed by :func:`dump_store`.)
 
-The v1 entry-line format defined here is also the journal op format of
-:class:`~repro.greylist.backends.JournalBackend` (one snapshot line per
-upsert), so :func:`format_entry_line` / :func:`parse_entry_line` are the
-single source of truth for serializing a
-:class:`~repro.greylist.store.TripletEntry`.
+The v1 entry-line format defined here is also the snapshot and journal
+op format of :class:`~repro.greylist.backends.JournalBackend` (one
+snapshot line per upsert).  :func:`read_entries` / :func:`write_entries`
+are the one reader and writer of a snapshot, and
+:func:`format_entry_line` / :func:`parse_entry_line` the single source of
+truth for serializing a :class:`~repro.greylist.store.TripletEntry`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -82,6 +83,39 @@ def parse_entry_line(line: str, line_number: int) -> TripletEntry:
     return entry
 
 
+def record_lines(
+    text: str, header: str, header_error: str
+) -> Iterator[Tuple[int, str]]:
+    """Check ``text``'s first line against ``header``, then yield
+    ``(line number, stripped line)`` for each record line after it.
+
+    Blank lines and ``#`` comments are skipped.  A missing or different
+    header raises :class:`PersistenceError` with ``header_error``.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise PersistenceError(header_error)
+    for line_number, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_number, line
+
+
+def read_entries(
+    text: str, header_error: str = "missing or unknown snapshot header"
+) -> Iterator[TripletEntry]:
+    """Parse a v1 snapshot: its entries, in file order."""
+    for line_number, line in record_lines(text, FORMAT_HEADER, header_error):
+        yield parse_entry_line(line, line_number)
+
+
+def write_entries(entries: Iterable[TripletEntry]) -> str:
+    """Serialize ``entries``, in the given order, as a v1 snapshot."""
+    lines = [FORMAT_HEADER]
+    lines.extend(format_entry_line(entry) for entry in entries)
+    return "\n".join(lines) + "\n"
+
+
 def dump_store(store: TripletStore) -> str:
     """Serialize the live entries of a store (one line per triplet).
 
@@ -90,18 +124,17 @@ def dump_store(store: TripletStore) -> str:
     order: the dump of a store is a pure function of its contents, which
     is what lets the backend-equivalence suite compare snapshots directly.
     """
-    lines: List[str] = [FORMAT_HEADER]
-    for entry in sorted(
-        store.entries(),
-        key=lambda e: (
-            e.first_seen,
-            str(e.triplet.client),
-            e.triplet.sender,
-            e.triplet.recipient,
-        ),
-    ):
-        lines.append(format_entry_line(entry))
-    return "\n".join(lines) + "\n"
+    return write_entries(
+        sorted(
+            store.entries(),
+            key=lambda e: (
+                e.first_seen,
+                str(e.triplet.client),
+                e.triplet.sender,
+                e.triplet.recipient,
+            ),
+        )
+    )
 
 
 def load_store(
@@ -127,15 +160,7 @@ def load_store(
     if whitelist_lifetime is not None:
         kwargs["whitelist_lifetime"] = whitelist_lifetime
     store = TripletStore(clock, backend=backend, **kwargs)
-
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        raise PersistenceError("missing or unknown snapshot header")
-    for line_number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        entry = parse_entry_line(line, line_number)
+    for entry in read_entries(text):
         if store._is_expired(entry):
             if entry.passed:
                 store.expired_confirmed += 1
@@ -144,18 +169,6 @@ def load_store(
             continue
         store.restore(entry)
     return store
-
-
-def save_compacted(store: TripletStore, stream: TextIO) -> int:
-    """Sweep expired entries, then write the snapshot to ``stream``.
-
-    Returns the number of entries written.  This is the Postgrey
-    ``--max-age`` cleanup fused with the database save.
-    """
-    store.sweep()
-    text = dump_store(store)
-    stream.write(text)
-    return store.size
 
 
 def snapshot_size_bytes(store: TripletStore) -> int:

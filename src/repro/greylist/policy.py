@@ -91,12 +91,6 @@ class GreylistPolicy(ConnectionPolicy):
         Which greylisting variant to run (see
         :mod:`repro.greylist.keying`).  Defaults to the classic full
         triplet.
-    store_backend / store_path:
-        Storage backend for the triplet database when ``store`` is not
-        given (``"memory"``/``"sqlite"``/``"journal"``, see
-        :mod:`repro.greylist.backends`); ``store_path`` is the on-disk
-        location for the durable backends.  All backends are bit-for-bit
-        equivalent, so the choice is absent from :meth:`fingerprint`.
     """
 
     def __init__(
@@ -108,8 +102,6 @@ class GreylistPolicy(ConnectionPolicy):
         network_prefix: Optional[int] = None,
         auto_whitelist_clients: int = 0,
         key_strategy: KeyStrategy = KeyStrategy.FULL_TRIPLET,
-        store_backend: str = "memory",
-        store_path: Optional[str] = None,
     ) -> None:
         if delay < 0:
             raise ValueError("greylisting delay must be non-negative")
@@ -119,14 +111,11 @@ class GreylistPolicy(ConnectionPolicy):
             raise ValueError("auto_whitelist_clients must be >= 0")
         self.clock = clock
         self.delay = float(delay)
-        if store is not None:
-            self.store = store
-        else:
-            from .backends import create_backend
-
-            self.store = TripletStore(
-                clock, backend=create_backend(store_backend, store_path)
-            )
+        # Annotated so the call-graph analyzer (ASY001) types the store
+        # through the conditional expression.
+        self.store: TripletStore = (
+            store if store is not None else TripletStore(clock)
+        )
         self.whitelist = whitelist if whitelist is not None else Whitelist()
         self.network_prefix = network_prefix
         self.auto_whitelist_clients = auto_whitelist_clients

@@ -153,8 +153,7 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     ``engine: "batch"`` routes the point through the equivalence-class
     engine; the key is only present when batching, so object-path payloads
-    keep their pre-batch cache identity.  ``store_backend`` follows the
-    same idiom: present only off the default memory backend.
+    keep their pre-batch cache identity.
     """
     from ..core.internet_scale import run_internet_scale
 
@@ -165,7 +164,6 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         messages=int(payload["messages"]),
         seed=int(payload["seed"]),
         engine=str(payload.get("engine", "object")),
-        store_backend=str(payload.get("store_backend", "memory")),
     )
     return {
         "num_domains": result.num_domains,
@@ -184,8 +182,7 @@ def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     ``engine: "batch"`` routes the point through the equivalence-class
     engine; the key is only present when batching, so object-path payloads
-    keep their pre-batch cache identity.  ``store_backend`` follows the
-    same idiom: present only off the default memory backend.
+    keep their pre-batch cache identity.
     """
     from ..core.synergy import run_synergy_experiment
 
@@ -196,7 +193,6 @@ def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         num_messages=int(payload["num_messages"]),
         seed=int(payload["seed"]),
         engine=str(payload.get("engine", "object")),
-        store_backend=str(payload.get("store_backend", "memory")),
     )
     return {
         "configuration": result.configuration,

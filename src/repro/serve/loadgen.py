@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from time import perf_counter  # repro: noqa CLK001 - loadgen times a live server, not the simulation
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..botnet.campaign import SpamCampaign, make_recipient_list
 from ..botnet.families import KELIHOS, FamilyProfile
@@ -100,8 +100,6 @@ def capture_bot_trace(
     seed: int = 23,
     num_bots: int = 4,
     horizon: float = 400000.0,
-    store_backend: str = "memory",
-    store_path: Optional[str] = None,
 ) -> TrafficTrace:
     """Run a simulated campaign; capture its policy decisions as a trace.
 
@@ -113,12 +111,7 @@ def capture_bot_trace(
     if num_bots < 1:
         raise ValueError("num_bots must be >= 1")
     testbed = Testbed(
-        TestbedConfig(
-            defense=Defense.GREYLISTING,
-            greylist_delay=threshold,
-            greylist_store_backend=store_backend,
-            greylist_store_path=store_path,
-        )
+        TestbedConfig(defense=Defense.GREYLISTING, greylist_delay=threshold)
     )
     domain = testbed.config.victim_domain
     rng = RandomStream(seed, f"serve-load:{family.name}:{threshold}")

@@ -246,7 +246,9 @@ class ThrottlePlugin(PolicyPlugin):
     A sliding window: more than ``max_messages`` requests from one
     client address within ``period`` seconds defers the excess with a
     4.7.1 reply.  Time comes from the shared serving clock, so replayed
-    traffic throttles identically to live traffic.
+    traffic throttles identically to live traffic.  :meth:`flush` (run by
+    the server every second) forgets clients whose every stamp has left
+    the window, so the map holds only recently active clients.
     """
 
     name = "throttle"
@@ -291,6 +293,18 @@ class ThrottlePlugin(PolicyPlugin):
             )
         window.append(now)
         return ACTION_DUNNO
+
+    def flush(self) -> None:
+        # A window whose newest stamp aged out would be emptied by the
+        # client's next check anyway: dropping it changes no decision.
+        horizon = self.clock.now - self.period
+        stale = [
+            key
+            for key, window in self._windows.items()
+            if window[-1] <= horizon
+        ]
+        for key in stale:
+            del self._windows[key]
 
 
 class WBListPlugin(PolicyPlugin):

@@ -28,8 +28,9 @@ and :meth:`PolicyServer.run_until_signalled` unblocks them once its
 handlers are installed, so a stop request that races start-up is held
 pending and then drained rather than killing the process.
 
-Blocking calls: the durable backends commit on the event loop (batched
-by ``commit_every``, sub-millisecond in WAL mode) — the same
+Blocking calls: the durable backends commit on the event loop (SQLite
+batched by :data:`~repro.greylist.backends.COMMIT_EVERY`, sub-millisecond
+in WAL mode; the journal checkpoints once it outgrows the store) — the same
 single-writer trade iRedAPD makes.  The ASY001 analyzer audits every
 coroutine here; each remaining blocking sink is individually
 ``noqa``-annotated at its definition with that rationale.
@@ -56,7 +57,8 @@ from .protocol import (
 
 #: How often (seconds) the background task flushes buffered backend
 #: writes while serving.  Batching bound: a crash loses at most this
-#: window plus ``commit_every`` un-flushed mutations.
+#: window plus :data:`~repro.greylist.backends.COMMIT_EVERY` un-flushed
+#: mutations.
 FLUSH_INTERVAL = 1.0
 
 #: Seconds connected peers get to finish in-flight stanzas on shutdown.

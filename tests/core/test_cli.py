@@ -74,6 +74,22 @@ class TestParser:
 
 
 class TestCommands:
+    @pytest.mark.parametrize(
+        "flags", [["--store-backend", "sqlite"], ["--store-path", "grey.db"]]
+    )
+    @pytest.mark.parametrize("command", ["kelihos", "synergy", "internet-scale"])
+    def test_store_flags_rejected_outside_serve(self, capsys, command, flags):
+        assert main(flags + [command]) == 2
+        assert "serve daemon only" in capsys.readouterr().err
+
+    def test_throttle_rejected_with_workers(self, capsys):
+        argv = [
+            "--workers", "2", "--store-backend", "shm",
+            "serve", "--throttle-max", "5",
+        ]
+        assert main(argv) == 2
+        assert "--throttle-max cannot be combined" in capsys.readouterr().err
+
     def test_mta_survey(self, capsys):
         assert main(["mta-survey"]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,8 @@ import pytest
 
 from repro.greylist.backends import (
     BACKEND_NAMES,
+    CHECKPOINT_FLOOR,
+    COMMIT_EVERY,
     JOURNAL_HEADER,
     JournalBackend,
     MemoryBackend,
@@ -199,7 +201,7 @@ class TestSQLiteBackend:
         backend.close()
 
     def test_batched_writes_visible_before_flush(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "grey.db", commit_every=10_000)
+        backend = SQLiteBackend(tmp_path / "grey.db")
         backend.put(entry(0))
         assert backend.get(triplet(0)) is not None
         assert len(backend) == 1
@@ -207,7 +209,7 @@ class TestSQLiteBackend:
 
     def test_unflushed_batch_is_committed_on_close(self, tmp_path):
         path = tmp_path / "grey.db"
-        backend = SQLiteBackend(path, commit_every=10_000)
+        backend = SQLiteBackend(path)
         backend.put(entry(0))
         backend.close()
         conn = sqlite3.connect(str(path))
@@ -217,9 +219,18 @@ class TestSQLiteBackend:
         conn.close()
         assert count == 1
 
-    def test_commit_every_validated(self):
-        with pytest.raises(ValueError):
-            SQLiteBackend(commit_every=0)
+    def test_batch_commits_every_commit_every_mutations(self, tmp_path):
+        path = tmp_path / "grey.db"
+        backend = SQLiteBackend(path)
+        reader = sqlite3.connect(str(path))
+        count_sql = "SELECT COUNT(*) FROM greylisting_tracking"
+        for i in range(COMMIT_EVERY - 1):
+            backend.put(entry(i))
+        assert reader.execute(count_sql).fetchone()[0] == 0
+        backend.put(entry(COMMIT_EVERY - 1))
+        assert reader.execute(count_sql).fetchone()[0] == COMMIT_EVERY
+        reader.close()
+        backend.close()
 
     def test_close_is_idempotent(self):
         backend = SQLiteBackend()
@@ -260,12 +271,69 @@ class TestJournalBackend:
         assert len(reopened) == 4
         reopened.close()
 
-    def test_checkpoint_every_auto_compacts(self, tmp_path):
-        backend = JournalBackend(tmp_path / "grey.snap", checkpoint_every=3)
-        for i in range(3):
-            backend.put(entry(i))
-        assert backend.journal_ops == 0  # the third append checkpointed
+    def test_flush_checkpoints_past_the_floor(self, tmp_path):
+        backend = JournalBackend(tmp_path / "grey.snap")
+        for _ in range(CHECKPOINT_FLOOR):
+            backend.put(entry(0))
+        backend.flush()
+        assert backend.journal_ops == CHECKPOINT_FLOOR  # at the floor: kept
+        backend.put(entry(0))
+        backend.flush()
+        assert backend.journal_ops == 0  # past it: checkpointed
         backend.close()
+        reopened = JournalBackend(tmp_path / "grey.snap")
+        assert reopened.get(triplet(0)) == entry(0)
+        reopened.close()
+
+    def test_flush_checkpoints_once_journal_outgrows_store(self):
+        live = CHECKPOINT_FLOOR + 100
+        backend = JournalBackend()
+        for i in range(live):
+            backend.put(entry(i))
+        backend.flush()
+        assert backend.journal_ops == live  # one op per live entry: kept
+        backend.delete(triplet(0))
+        backend.flush()
+        assert backend.journal_ops == 0  # live + 1 ops > live - 1 entries
+        assert backend._journal.getvalue() == JOURNAL_HEADER + "\n"
+        backend.close()
+
+    @pytest.mark.parametrize("file_backed", [True, False])
+    def test_journal_bounded_over_fixed_working_set(
+        self, tmp_path, file_backed
+    ):
+        """Served decisions over a fixed working set, with the daemon's
+        periodic flush: the journal stays within a constant factor of the
+        snapshot however many decisions pass, and a restart recovers the
+        identical state."""
+        from repro.greylist.persistence import dump_store
+        from repro.greylist.store import TripletStore
+        from repro.sim.clock import Clock
+
+        path = tmp_path / "grey.snap" if file_backed else None
+        journal_path = tmp_path / "grey.snap.journal"
+        clock = Clock()
+        store = TripletStore(clock, backend=JournalBackend(path))
+        working_set = [triplet(i) for i in range(2 * CHECKPOINT_FLOOR)]
+        flush_every = 500
+        largest = 0
+        for step in range(20 * len(working_set)):
+            store.observe(working_set[step % len(working_set)])
+            clock.advance_by(1.0)
+            if step % flush_every == flush_every - 1:
+                store.flush()
+                if file_backed:
+                    size = journal_path.stat().st_size
+                else:
+                    size = len(store.backend._journal.getvalue())
+                largest = max(largest, size)
+        snapshot = dump_store(store)
+        assert largest <= 2 * len(snapshot)
+        store.close()
+        if file_backed:
+            reopened = TripletStore(clock, backend=JournalBackend(path))
+            assert dump_store(reopened) == snapshot
+            reopened.close()
 
     def test_torn_tail_quarantined_and_dropped(self, tmp_path):
         path = tmp_path / "grey.snap"
@@ -322,10 +390,6 @@ class TestJournalBackend:
         path.write_text("bogus\n", encoding="utf-8")
         with pytest.raises(PersistenceError, match="snapshot header"):
             JournalBackend(path)
-
-    def test_checkpoint_every_validated(self):
-        with pytest.raises(ValueError):
-            JournalBackend(checkpoint_every=0)
 
 
 class TestExpiryPredicate:

@@ -1,7 +1,5 @@
 """Unit tests for triplet-database persistence and cost accounting."""
 
-import io
-
 import pytest
 
 from repro.greylist.cost import measure_cost
@@ -10,7 +8,6 @@ from repro.greylist.persistence import (
     PersistenceError,
     dump_store,
     load_store,
-    save_compacted,
     snapshot_size_bytes,
 )
 from repro.greylist.policy import GreylistPolicy
@@ -124,14 +121,6 @@ class TestPersistence:
         )
         with pytest.raises(PersistenceError):
             load_store(text, Clock())
-
-    def test_save_compacted_sweeps(self):
-        clock, store = self._populated_store()
-        clock.advance_by(3 * DAY)  # expires the unconfirmed entry
-        stream = io.StringIO()
-        written = save_compacted(store, stream)
-        assert written == 1
-        assert "s1@x.example" not in stream.getvalue()
 
     def test_snapshot_size_grows_with_entries(self):
         clock = Clock()

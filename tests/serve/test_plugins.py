@@ -231,6 +231,34 @@ class TestThrottlePlugin:
         assert plugin.check(rcpt_request(client="10.0.0.1")) == ACTION_DUNNO
         assert plugin.check(rcpt_request(client="10.0.0.2")) == ACTION_DUNNO
 
+    def test_window_map_bounded_under_rotating_clients(self):
+        """IP-rotating senders: one request per client, the server's
+        periodic flush keeps only clients seen within the period."""
+        clock = Clock()
+        plugin = ThrottlePlugin(clock, max_messages=1, period=60.0)
+        largest = 0
+        for i in range(20_000):
+            client = f"10.{i >> 16 & 255}.{i >> 8 & 255}.{i & 255}"
+            assert plugin.check(rcpt_request(client=client)) == ACTION_DUNNO
+            clock.advance_by(0.1)
+            if i % 10 == 9:  # one flush per simulated second
+                plugin.flush()
+                largest = max(largest, len(plugin._windows))
+        # 60 s of clients at 10/s, plus the second since the last flush.
+        assert largest <= 610
+
+    def test_flush_keeps_active_windows(self):
+        clock = Clock()
+        plugin = ThrottlePlugin(clock, max_messages=1, period=60.0)
+        assert plugin.check(rcpt_request()) == ACTION_DUNNO
+        clock.advance_by(30.0)
+        plugin.flush()
+        assert plugin.check(rcpt_request()).startswith("DEFER_IF_PERMIT 450")
+        clock.advance_by(60.0)
+        plugin.flush()
+        assert plugin._windows == {}
+        assert plugin.check(rcpt_request()) == ACTION_DUNNO
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ThrottlePlugin(Clock(), max_messages=0)

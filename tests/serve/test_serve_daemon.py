@@ -13,7 +13,7 @@ import signal
 
 import pytest
 
-from repro.greylist.backends import create_backend
+from repro.greylist.backends import COMMIT_EVERY, create_backend
 from repro.greylist.policy import GreylistPolicy
 from repro.greylist.store import TripletStore
 from repro.serve.client import PolicyClient, make_request_attrs
@@ -22,11 +22,9 @@ from repro.serve.protocol import ACTION_DUNNO
 from repro.serve.server import PolicyServer, ReplayClock, WallClock
 
 
-def make_server(
-    backend_name="memory", path=None, commit_every=None, **server_kwargs
-):
+def make_server(backend_name="memory", path=None, **server_kwargs):
     clock = ReplayClock()
-    backend = create_backend(backend_name, path, commit_every=commit_every)
+    backend = create_backend(backend_name, path)
     store = TripletStore(clock=clock, backend=backend)
     policy = GreylistPolicy(clock=clock, delay=300.0, store=store)
     chain = PluginChain([GreylistingPlugin(policy)])
@@ -176,14 +174,14 @@ class TestGracefulShutdown:
         self, backend_name, tmp_path
     ):
         """The drain contract: every decision a client got an answer for
-        must be present in durable storage after shutdown, even with
-        commits batched far beyond the number of writes."""
+        must be present in durable storage after shutdown, even when all
+        of them fit in one uncommitted SQLite batch (fewer than
+        COMMIT_EVERY writes)."""
         path = str(tmp_path / f"triplets.{backend_name}")
+        assert 50 < COMMIT_EVERY
 
         async def scenario():
-            server, policy = make_server(
-                backend_name, path, commit_every=10_000
-            )
+            server, policy = make_server(backend_name, path)
             host, port = await server.start()
             client = await PolicyClient.connect(host, port)
             try:
