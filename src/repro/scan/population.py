@@ -24,9 +24,11 @@ identical to a serial run.
 from __future__ import annotations
 
 import enum
+import functools
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..dns.zone import ZoneStore
 from ..net.address import AddressPool, IPv4Address, IPv4Network
@@ -275,6 +277,116 @@ class PlannedDomain:
     alexa_rank: int
 
 
+def _category_counts(
+    num_domains: int, mix: Mapping[DomainCategory, float]
+) -> Dict[DomainCategory, int]:
+    """Apportion domains to categories with largest-remainder rounding.
+
+    The counts always sum to ``num_domains``, even when the mix sums to 1
+    only within :class:`PopulationConfig`'s tolerance: at large ``n`` the
+    floored shares can then miss ``n`` by more than one domain per
+    category, or overshoot it.  The shortfall is handed out cyclically,
+    largest remainder first; an overshoot is taken back cyclically,
+    smallest remainder first and never below zero.  Whenever the floors
+    fall short by at most one per category this is plain largest
+    remainder, one extra domain each to the largest remainders.
+    """
+    raw = {c: num_domains * frac for c, frac in mix.items()}
+    counts = {c: int(v) for c, v in raw.items()}
+    shortfall = num_domains - sum(counts.values())
+    by_remainder = sorted(raw, key=lambda c: (counts[c] - raw[c], c.value))
+    step = 1
+    if shortfall < 0:
+        by_remainder.reverse()
+        step = -1
+    turn = 0
+    while shortfall:
+        category = by_remainder[turn % len(by_remainder)]
+        turn += 1
+        if step < 0 and counts[category] == 0:
+            continue
+        counts[category] += step
+        shortfall -= step
+    return counts
+
+
+class _PlanLayout(NamedTuple):
+    """The seed-determined, read-only part of a :class:`PopulationPlan`."""
+
+    #: Category code of each domain, in domain-index order.
+    codes: memoryview
+    #: Alexa-style rank of each domain before any planting.
+    ranks: memoryview
+    #: Exact category counts (every category present, zeros included).
+    counts: Mapping[DomainCategory, int]
+    #: category -> ascending indices of its domains.
+    index_by_category: Mapping[DomainCategory, memoryview]
+
+
+@functools.lru_cache(maxsize=1)
+def _plan_layout(
+    num_domains: int,
+    mix: Tuple[Tuple[DomainCategory, float], ...],
+    seed: int,
+) -> _PlanLayout:
+    """Build (once per process) the layout of the plan for these inputs.
+
+    The layout — shuffled category codes, shuffled rank permutation,
+    exact counts, per-category index — is a pure function of
+    ``(num_domains, canonical mix, seed)``; nothing else in the config
+    (chunk size, outage rates, pools, profile) enters it, so it is keyed
+    on those three alone and a sweep over rates reuses it.  Every shard of
+    an adoption run rebuilds a :class:`PopulationPlan`, and building the
+    layout is two full-length shuffles: without the memo a run's planning
+    cost grows with the square of the population.
+
+    A per-process memo of a pure function is safe under any pool start
+    method: a spawned worker computes the same value the coordinator did,
+    and a forked one inherits the coordinator's entry.  Workers therefore
+    cannot diverge through it, which is the hazard SHM001 guards module
+    state against.  ``maxsize=1`` bounds the memory to the current
+    population.
+
+    Only immutable views leave this function: the arrays are exposed as
+    read-only memoryviews and the mappings as proxies, so an accidental
+    write raises instead of corrupting every later plan in the process.
+    Per-plan mutable state (planting, the name->rank map) lives on the
+    :class:`PopulationPlan` instance, never here.
+    """
+    root = RandomStream(seed, "population")
+    counts = _category_counts(num_domains, dict(mix))
+    codes = array("B")
+    # Canonical category order: the plan must not depend on the mix
+    # dict's insertion order, or a worker rebuilding the config from
+    # canonical params would lay out a different population.  Shuffling
+    # the code column draws exactly what shuffling the old object list
+    # drew (the draws depend only on the length), so populations are
+    # bit-identical to the pre-columnar layout.
+    for category in sorted(counts, key=lambda c: c.value):
+        codes.extend([CATEGORY_CODE[category]] * counts[category])
+    root.split("order").shuffle(codes)
+
+    ranks = array("I", range(1, num_domains + 1))
+    root.split("ranks").shuffle(ranks)
+
+    index_by_category: Dict[DomainCategory, "array[int]"] = {
+        category: array("I") for category in CATEGORY_ORDER
+    }
+    for index, code in enumerate(codes):
+        index_by_category[CATEGORY_ORDER[code]].append(index)
+    return _PlanLayout(
+        codes=memoryview(codes).toreadonly(),
+        ranks=memoryview(ranks).toreadonly(),
+        counts=MappingProxyType(
+            {category: counts.get(category, 0) for category in DomainCategory}
+        ),
+        index_by_category=MappingProxyType({
+            category: memoryview(indices).toreadonly()
+            for category, indices in index_by_category.items()
+        }),
+    )
+
+
 class PopulationPlan:
     """Deterministic per-domain plan shared by every worker.
 
@@ -289,41 +401,23 @@ class PopulationPlan:
     objects are materialized lazily (and at most once) when somebody asks
     for :attr:`domains`; the batched engines and worker-side generators
     read :meth:`chunk_rows` instead and never pay for the object layer.
-    A category index and the ground-truth counts are built once here —
-    categories never change after planning, so they need no invalidation;
-    the name->rank map is cached and dropped by :meth:`plant`.
+    A category index and the ground-truth counts are built with the
+    columns — categories never change after planning, so they need no
+    invalidation; the name->rank map is cached and dropped by
+    :meth:`plant`.
+
+    The columns, counts and index form the plan's read-only layout, which
+    is memoised per process (see :func:`_plan_layout`): constructing a plan
+    for a population this process has just planned costs nothing, which is
+    what lets every shard build its own.  Planting and the caches stay on
+    the instance, so one plan's :meth:`plant` never reaches another.
     """
 
     def __init__(self, config: PopulationConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        root = RandomStream(seed, "population")
-
-        counts = self._category_counts(config)
-        codes = array("B")
-        # Canonical category order: the plan must not depend on the mix
-        # dict's insertion order, or a worker rebuilding the config from
-        # canonical params would lay out a different population.  Shuffling
-        # the code column draws exactly what shuffling the old object list
-        # drew (the draws depend only on the length), so populations are
-        # bit-identical to the pre-columnar layout.
-        for category in sorted(counts, key=lambda c: c.value):
-            codes.extend([CATEGORY_CODE[category]] * counts[category])
-        root.split("order").shuffle(codes)
-
-        ranks = array("I", range(1, config.num_domains + 1))
-        root.split("ranks").shuffle(ranks)
-
-        self._codes = codes
-        self._ranks = ranks
-        self._counts: Dict[DomainCategory, int] = {
-            category: counts.get(category, 0) for category in DomainCategory
-        }
-        self._index_by_category: Dict[DomainCategory, "array[int]"] = {
-            category: array("I") for category in CATEGORY_ORDER
-        }
-        for index, code in enumerate(codes):
-            self._index_by_category[CATEGORY_ORDER[code]].append(index)
+        mix = tuple(sorted(config.mix.items(), key=lambda item: item[0].value))
+        self._layout = _plan_layout(config.num_domains, mix, seed)
         self._domains: Optional[List[PlannedDomain]] = None
         self._rank_cache: Optional[Dict[str, int]] = None
 
@@ -336,7 +430,7 @@ class PopulationPlan:
     def domains(self) -> List[PlannedDomain]:
         """The object view of the plan, materialized on first access."""
         if self._domains is None:
-            ranks = self._ranks
+            ranks = self._layout.ranks
             self._domains = [
                 PlannedDomain(
                     index=index,
@@ -344,23 +438,9 @@ class PopulationPlan:
                     category=CATEGORY_ORDER[code],
                     alexa_rank=ranks[index],
                 )
-                for index, code in enumerate(self._codes)
+                for index, code in enumerate(self._layout.codes)
             ]
         return self._domains
-
-    @staticmethod
-    def _category_counts(config: PopulationConfig) -> Dict[DomainCategory, int]:
-        """Apportion domains to categories with largest-remainder rounding."""
-        n = config.num_domains
-        raw = {c: n * frac for c, frac in config.mix.items()}
-        counts = {c: int(v) for c, v in raw.items()}
-        shortfall = n - sum(counts.values())
-        by_remainder = sorted(
-            raw, key=lambda c: (counts[c] - raw[c], c.value)
-        )
-        for category in by_remainder[:shortfall]:
-            counts[category] += 1
-        return counts
 
     @property
     def num_chunks(self) -> int:
@@ -388,7 +468,7 @@ class PopulationPlan:
                 (d.index, d.name, d.category, d.alexa_rank)
                 for d in self._domains[start:stop]
             ]
-        codes, ranks = self._codes, self._ranks
+        codes, ranks = self._layout.codes, self._layout.ranks
         return [
             (i, self.name_of(i), CATEGORY_ORDER[codes[i]], ranks[i])
             for i in range(start, stop)
@@ -402,16 +482,16 @@ class PopulationPlan:
 
     def truth_counts(self) -> Dict[DomainCategory, int]:
         """Exact category counts, precomputed at planning time."""
-        return dict(self._counts)
+        return dict(self._layout.counts)
 
     def domains_in(self, category: DomainCategory) -> List[PlannedDomain]:
         """Planned domains of one category, via the one-time index."""
         domains = self.domains
-        return [domains[i] for i in self._index_by_category[category]]
+        return [domains[i] for i in self._layout.index_by_category[category]]
 
     def count_in(self, category: DomainCategory) -> int:
         """Category cardinality without materializing any objects."""
-        return self._counts[category]
+        return self._layout.counts[category]
 
     def rank_of(self) -> Dict[str, int]:
         """Domain name -> current Alexa rank (reflects any planting).
@@ -424,7 +504,7 @@ class PopulationPlan:
             if self._domains is None:
                 self._rank_cache = {
                     self.name_of(i): rank
-                    for i, rank in enumerate(self._ranks)
+                    for i, rank in enumerate(self._layout.ranks)
                 }
             else:
                 self._rank_cache = {
