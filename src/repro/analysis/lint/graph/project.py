@@ -389,9 +389,10 @@ class Project:
         ``__init__`` scanned first): ``self.x: T`` annotated
         assignments, ``self.x = ClassName(...)`` constructor calls, and
         ``self.x = param`` where the parameter is annotated with a
-        project class.  This is what lets the call graph resolve
-        ``self.attr.method()`` — the serving daemon's whole decision
-        path hangs off such calls.
+        project class, also through either branch of a conditional
+        expression (``self.x = p if p is not None else T()``).  This is
+        what lets the call graph resolve ``self.attr.method()`` — the
+        serving daemon's whole decision path hangs off such calls.
         """
         cached = self._attr_types.get(cls.key)
         if cached is not None:
@@ -432,16 +433,29 @@ class Project:
                         continue
                 if value is None:
                     continue
-                constructed = self._resolve_constructor(module, value)
-                if constructed is not None:
-                    types[name] = constructed
-                    continue
-                if isinstance(value, ast.Name):
-                    annotated = params.get(value.id)
-                    if annotated is not None:
-                        types[name] = annotated
+                resolved = self._value_class(module, value, params)
+                if resolved is not None:
+                    types[name] = resolved
         self._attr_types[cls.key] = types
         return types
+
+    def _value_class(
+        self,
+        module: ModuleSymbols,
+        value: ast.expr,
+        params: Dict[str, Optional[ClassSymbol]],
+    ) -> Optional[ClassSymbol]:
+        """The class a constructor call, an annotated parameter, or the
+        first resolving branch of ``a if c else b`` binds, or None."""
+        if isinstance(value, ast.IfExp):
+            body = self._value_class(module, value.body, params)
+            return body or self._value_class(module, value.orelse, params)
+        constructed = self._resolve_constructor(module, value)
+        if constructed is not None:
+            return constructed
+        if isinstance(value, ast.Name):
+            return params.get(value.id)
+        return None
 
     def _build_node(
         self, module: ModuleSymbols, fn: FunctionSymbol

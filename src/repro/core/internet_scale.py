@@ -139,23 +139,19 @@ def run_internet_scale(
     bot_pool = AddressPool(IPv4Network.parse("198.51.100.0/24"))
 
     # --- receiver domains with a randomized deployment mix ----------------
-    deploy_rng = rng.split("deployments")
     domains: List[str] = []
-    for index in range(num_domains):
+    deployments = _roll_deployments(
+        rng, num_domains, nolisting_rate, greylisting_rate
+    )
+    for index, deployment in enumerate(deployments):
         domain = f"site{index:04d}.example"
         domains.append(domain)
-        roll = deploy_rng.random()
-        if roll < nolisting_rate:
-            policy = None
-            builder = setup_nolisting
-        elif roll < nolisting_rate + greylisting_rate:
+        policy = None
+        builder = setup_nolisting if deployment == _NOLISTED else setup_single_mx
+        if deployment == _GREYLISTED:
             policy = GreylistPolicy(
                 clock=scheduler.clock, delay=greylist_delay
             )
-            builder = setup_single_mx
-        else:
-            policy = None
-            builder = setup_single_mx
         server = SMTPServer(
             hostname=f"smtp.{domain}",
             clock=scheduler.clock,
@@ -243,6 +239,33 @@ _PLAIN, _NOLISTED, _GREYLISTED = "plain", "nolisted", "greylisted"
 
 #: Columnar deployment code (see :mod:`repro.scan.columnar`) -> kind.
 _KIND_OF_CODE = (_PLAIN, _NOLISTED, _GREYLISTED)
+
+
+def _roll_deployments(
+    rng: RandomStream,
+    num_domains: int,
+    nolisting_rate: float,
+    greylisting_rate: float,
+) -> List[str]:
+    """Every receiver domain's deployment kind, in domain order.
+
+    One uniform roll per domain from the ``"deployments"`` stream: below
+    ``nolisting_rate`` the domain is nolisted, below the two rates' sum
+    greylisted, otherwise plain.  The object and batch engines both call
+    this; the columnar engine streams the same rolls in chunks
+    (:func:`repro.scan.columnar.stream_deployment_chunks`).
+    """
+    deploy_rng = rng.split("deployments")
+    deployments: List[str] = []
+    for _ in range(num_domains):
+        roll = deploy_rng.random()
+        if roll < nolisting_rate:
+            deployments.append(_NOLISTED)
+        elif roll < nolisting_rate + greylisting_rate:
+            deployments.append(_GREYLISTED)
+        else:
+            deployments.append(_PLAIN)
+    return deployments
 
 
 def _replay_wave(
@@ -405,25 +428,16 @@ def _run_internet_scale_batched(
 ) -> InternetScaleResult:
     """The equivalence-class engine behind ``engine="batch"``.
 
-    Replays the object path's deployment, family-mix and target draws
-    verbatim, holding the full deployment list in memory, then resolves
+    Shares the object path's deployment rolls (:func:`_roll_deployments`)
+    and replays its family-mix and target draws verbatim, holding the full
+    deployment list in memory, then resolves
     each message through :func:`_resolve_wave`.  ``chunk_domains`` is
     accepted for signature parity with the columnar engine and ignored.
     """
     rng = RandomStream(seed, "internet-scale")
-
-    # --- replay of the deployment draws (one uniform roll per domain) ----
-    deploy_rng = rng.split("deployments")
-    deployments: List[str] = []
-    for _ in range(num_domains):
-        roll = deploy_rng.random()
-        if roll < nolisting_rate:
-            deployments.append(_NOLISTED)
-        elif roll < nolisting_rate + greylisting_rate:
-            deployments.append(_GREYLISTED)
-        else:
-            deployments.append(_PLAIN)
-
+    deployments = _roll_deployments(
+        rng, num_domains, nolisting_rate, greylisting_rate
+    )
     wave = _replay_wave(rng, messages, num_domains)
     per_family_sent, per_family_delivered = _resolve_wave(
         wave,

@@ -111,8 +111,6 @@ class GreylistPolicy(ConnectionPolicy):
             raise ValueError("auto_whitelist_clients must be >= 0")
         self.clock = clock
         self.delay = float(delay)
-        # Annotated so the call-graph analyzer (ASY001) types the store
-        # through the conditional expression.
         self.store: TripletStore = (
             store if store is not None else TripletStore(clock)
         )

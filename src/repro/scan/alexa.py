@@ -10,7 +10,7 @@ ranks and answers the cross-check queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, MutableSequence, Sequence
 
 from .detect import DomainClass, DomainVerdict
 from .population import DomainCategory, SyntheticInternet
@@ -28,72 +28,74 @@ def plant_popular_nolisting(
     currently hold the target ranks, keeping the rank assignment a
     permutation.  Returns the planted domain names.
     """
-    return plant_ranks(internet.domains, ranks)
+    domains = internet.domains
+    column = [truth.alexa_rank for truth in domains]
+    nolisting = [
+        index
+        for index, truth in enumerate(domains)
+        if truth.category is DomainCategory.NOLISTING
+    ]
+    planted = plant_ranks(nolisting, column, ranks)
+    for truth, rank in zip(domains, column):
+        truth.alexa_rank = rank
+    return [domains[index].name for index in planted]
 
 
 def plant_ranks(
-    domains: Sequence, ranks: Sequence[int] = PAPER_NOLISTING_RANKS
-) -> List[str]:
-    """Rank-planting over any domain records with name/category/alexa_rank.
+    nolisting: Sequence[int],
+    ranks: MutableSequence[int],
+    targets: Sequence[int] = PAPER_NOLISTING_RANKS,
+) -> List[int]:
+    """Re-rank a rank column so nolisting domains hold the ``targets``.
 
-    Shared by the full-population path (:class:`DomainTruth` objects) and
-    the parallel runner's coordinator, which plants on the cheap
-    :class:`~repro.scan.population.PlannedDomain` plan *before* sharding —
-    the swap outcome depends only on (order, categories, ranks), so both
-    paths assign identical ranks.
+    ``ranks[i]`` is domain ``i``'s rank and is swapped in place;
+    ``nolisting`` lists the nolisting domains' indices in domain order.
+    Returns the planted indices.  The outcome depends only on (order,
+    categories, ranks), so the coordinator planting the
+    :class:`~repro.scan.population.PopulationPlan`'s column and a full
+    :class:`SyntheticInternet` planting its ground truth assign identical
+    ranks.
     """
-    nolisted = [d for d in domains if d.category is DomainCategory.NOLISTING]
-    if len(nolisted) < len(ranks):
+    if len(nolisting) < len(targets):
         raise ValueError(
-            f"population has only {len(nolisted)} nolisting domains, "
-            f"cannot plant {len(ranks)}"
+            f"population has only {len(nolisting)} nolisting domains, "
+            f"cannot plant {len(targets)}"
         )
-    num_domains = len(domains)
-    rank_holder: Dict[int, object] = {
-        truth.alexa_rank: truth for truth in domains
+    is_nolisting = set(nolisting)
+    rank_holder: Dict[int, int] = {
+        rank: index for index, rank in enumerate(ranks)
     }
+
+    def swap(index: int, other: int) -> None:
+        ranks[index], ranks[other] = ranks[other], ranks[index]
+        rank_holder[ranks[index]] = index
+        rank_holder[ranks[other]] = other
 
     # First evict accidental adopters from the popular band: in a population
     # of this size the rank space is small relative to the real internet's,
     # so the uniform shuffle seeds the top-1000 with far more nolisting
     # domains than the 0.52 % base rate would on 135 M domains.  Swap them
     # out so the popular band holds exactly the planted structure.
-    popular_band = max(ranks) + 100
-    swap_rank = num_domains
-    for truth in nolisted:
-        if truth.alexa_rank is None or truth.alexa_rank > popular_band:
+    popular_band = max(targets) + 100
+    swap_rank = len(ranks)
+    for index in nolisting:
+        if ranks[index] > popular_band:
             continue
         while swap_rank > popular_band:
             candidate = rank_holder.get(swap_rank)
-            if (
-                candidate is not None
-                and candidate.category is not DomainCategory.NOLISTING
-            ):
+            if candidate is not None and candidate not in is_nolisting:
                 break
             swap_rank -= 1
         else:  # pragma: no cover - population would have to be tiny
             break
-        candidate = rank_holder[swap_rank]
-        truth.alexa_rank, candidate.alexa_rank = (
-            candidate.alexa_rank,
-            truth.alexa_rank,
-        )
-        rank_holder[truth.alexa_rank] = truth
-        rank_holder[candidate.alexa_rank] = candidate
+        swap(index, rank_holder[swap_rank])
         swap_rank -= 1
 
-    planted: List[str] = []
-    for truth, rank in zip(nolisted, ranks):
+    for index, rank in zip(nolisting, targets):
         other = rank_holder[rank]
-        if other is truth:
-            planted.append(truth.name)
-            continue
-        old_rank = truth.alexa_rank
-        truth.alexa_rank, other.alexa_rank = rank, old_rank
-        rank_holder[rank] = truth
-        rank_holder[old_rank] = other
-        planted.append(truth.name)
-    return planted
+        if other != index:
+            swap(index, other)
+    return list(nolisting[: len(targets)])
 
 
 @dataclass

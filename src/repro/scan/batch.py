@@ -5,7 +5,7 @@ a banner-grab probe for every domain — then throws almost all of it away,
 because classification only consumes a handful of bits per domain: the MX
 topology shape, which records arrived without glue, and which addresses
 answered on port 25.  This module computes exactly those bits directly
-from the deterministic draw streams, files every domain of a chunk under
+from the chunk's domain specs, files every domain of a chunk under
 its outcome-determining *class key*
 
     (ground-truth category, scan-0 shape, scan-1 shape,
@@ -19,24 +19,26 @@ result dict is bit-for-bit identical to
 property the integration suite asserts over seeds, fault plans and
 planted populations.
 
-Why the replay is sound
------------------------
+Why the shortcut is sound
+-------------------------
 Every random decision the object path makes is either
 
-* a *generation* draw from ``seed -> "population" -> "chunk:<k>"`` in a
-  fixed per-domain order (replayed here verbatim, in lockstep with
-  :meth:`~repro.scan.population.SyntheticInternet._generate_chunk`),
+* a *generation* draw, made once per chunk by
+  :func:`~repro.scan.population.chunk_specs` — the object engine builds
+  its world from the very :class:`~repro.scan.population.DomainSpec`
+  values this module classifies, so there is nothing to keep in step;
 * a *fault* draw keyed purely by ``(fault seed, kind, epoch, entity
   label)`` (stateless: skipping draws the verdict never consumes cannot
-  perturb any other draw), or
-* a *glue-elision* draw from the per-domain stream
-  ``"elision:<scan>:<domain>"`` consumed once per glue-carrying record in
-  record order (replayed verbatim).
+  perturb any other draw); or
+* a *glue-elision* draw, made by :func:`~repro.scan.scanner.
+  surviving_glue` for both engines from the per-domain stream
+  ``"elision:<scan>:<domain>"``.
 
-Addresses are arithmetic, not allocated: chunk ``k`` owns the address
-slice ``base + k * stride`` and hands addresses out sequentially, so the
-replay tracks a counter instead of an :class:`~repro.net.address.
-AddressPool`.
+What this module reimplements is the *interpretation* of a spec — which
+records resolve, which addresses answer on port 25 — and the object
+engine (zones, resolver, banner grab, detector) stays the reference for
+it: the equivalence suites compare the two, and golden digests pin the
+draws both read.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults.model import FaultPlan, fault_from_params
-from ..net.address import IPv4Address, IPv4Network
+from ..net.address import IPv4Address
 from ..sim.batch import BatchCounters, EquivalenceClassIndex
 from ..sim.rng import RandomStream
 from .datasets import DomainObservation, MXObservation, SMTPScanDataset
@@ -56,150 +58,21 @@ from .detect import (
 )
 from .population import (
     DomainCategory,
-    PopulationConfig,
+    DomainSpec,
     PopulationPlan,
+    chunk_specs,
     population_from_params,
-    provider_pool_address,
     provider_pool_apex,
-    provider_pool_host,
 )
-
-#: One MX record of a replayed domain: hostname, preference, address value
-#: (``None`` for a dangling/ghost exchange) — mirrors ``DomainTruth.mx_hosts``.
-_Record = Tuple[str, int, Optional[int]]
+from .scanner import surviving_glue
 
 #: A single-scan shape: either ``("mxfault", kind)`` or
 #: ``(n_records, n_resolved, primary_up, secondary_up)``.
 _Shape = Tuple[Any, ...]
 
 
-class _DomainSpec:
-    """The replayed ground truth of one domain (no zones, no pools)."""
-
-    __slots__ = (
-        "name",
-        "category",
-        "records",
-        "outage_scan",
-        "persistent",
-        "pool_apex",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        category: DomainCategory,
-        records: List[_Record],
-        outage_scan: Optional[int],
-        persistent: bool,
-        pool_apex: Optional[str] = None,
-    ) -> None:
-        self.name = name
-        self.category = category
-        self.records = records
-        self.outage_scan = outage_scan
-        self.persistent = persistent
-        self.pool_apex = pool_apex
-
-
-def _replay_chunk(
-    plan: PopulationPlan, config: PopulationConfig, seed: int, chunk_index: int
-) -> List[_DomainSpec]:
-    """Replay one chunk's generation draws without building the world.
-
-    Draw-for-draw lockstep with :meth:`~repro.scan.population.
-    SyntheticInternet._generate_chunk`; any change there must be mirrored
-    here (``tests/scan/test_columnar.py`` pins the two together).  No
-    zones, no address allocator, no probe state: the chunk's addresses are
-    a counter over its slice and pool addresses are arithmetic in the
-    provider block.
-    """
-    chunk_rng = RandomStream(seed, "population").split(f"chunk:{chunk_index}")
-    outage_rng = chunk_rng.split("outages")
-    mx_rng = chunk_rng.split("mx-count")
-    misc_rng = chunk_rng.split("misconfig")
-    provider_rng = (
-        chunk_rng.split("provider")
-        if config.provider_pool_fraction > 0
-        else None
-    )
-    next_address = (
-        IPv4Network.parse(config.address_space).base.value
-        + chunk_index * config.chunk_address_stride
-    )
-
-    def transient() -> Optional[int]:
-        # SyntheticInternet._maybe_transient for a primary with an address.
-        if outage_rng.random() >= config.transient_outage_rate:
-            return None
-        return outage_rng.randint(0, 1)
-
-    specs: List[_DomainSpec] = []
-    for _, name, category, _rank in plan.chunk_rows(chunk_index):
-        records: List[_Record] = []
-        outage_scan: Optional[int] = None
-        persistent = False
-        pool_apex: Optional[str] = None
-
-        if category is DomainCategory.SINGLE_MX:
-            records.append((f"smtp.{name}", 10, next_address))
-            next_address += 1
-            outage_scan = transient()
-        elif category is DomainCategory.MULTI_MX:
-            count = mx_rng.weighted_index(list(config.extra_mx_weights)) + 2
-            pooled = (
-                provider_rng is not None
-                and provider_rng.random() < config.provider_pool_fraction
-            )
-            if pooled:
-                pool_id = provider_rng.randrange(config.provider_pool_count)
-                balanced = (
-                    provider_rng.random() < config.provider_equal_preference
-                )
-                for slot in range(count):
-                    records.append(
-                        (
-                            provider_pool_host(pool_id, slot),
-                            10 if balanced else 10 * (slot + 1),
-                            provider_pool_address(pool_id, slot),
-                        )
-                    )
-                pool_apex = provider_pool_apex(pool_id)
-            else:
-                records.append((f"smtp.{name}", 10, next_address))
-                for j in range(1, count):
-                    records.append(
-                        (f"smtp{j}.{name}", 10 * (j + 1), next_address + j)
-                    )
-                next_address += count
-                if outage_rng.random() < config.persistent_outage_rate:
-                    persistent = True
-                else:
-                    outage_scan = transient()
-        elif category is DomainCategory.NOLISTING:
-            records.append((f"smtp.{name}", 0, next_address))
-            records.append((f"smtp1.{name}", 15, next_address + 1))
-            next_address += 2
-        elif misc_rng.random() < config.dangling_mx_fraction:
-            records.append((f"ghost.{name}", 10, None))
-        else:
-            next_address += 1  # the www A record still consumes a slot
-
-        specs.append(
-            _DomainSpec(
-                name=name,
-                category=category,
-                records=records,
-                outage_scan=outage_scan,
-                persistent=persistent,
-                pool_apex=pool_apex,
-            )
-        )
-    return specs
-
-
 def _scan_shape(
-    spec: _DomainSpec,
+    spec: DomainSpec,
     scan_index: int,
     faults: Optional[FaultPlan],
     elision_root: Optional[RandomStream],
@@ -213,16 +86,15 @@ def _scan_shape(
         if kind is not None:
             return ("mxfault", kind), 0
 
-    # Which records' glue survives the capture (A-query faults, then the
-    # scanner's elision stream — one draw per glue-carrying record, in
-    # record order, exactly as DNSScanner.scan consumes them).  Provider
+    # Which records' glue survives the capture: A-query faults, then the
+    # scanner's own elision draws (surviving_glue).  Provider
     # pool exchangers live in their own zone, so their glue A query can
     # additionally hit that zone's lame delegation — a fault the domain's
     # own MX query never sees.
     pool_lame = (
         faults is not None
-        and spec.pool_apex is not None
-        and faults.zone_lame(spec.pool_apex)
+        and spec.pool_id is not None
+        and faults.zone_lame(provider_pool_apex(spec.pool_id))
     )
     glue_present: List[bool] = []
     for hostname, _, address in spec.records:
@@ -235,10 +107,9 @@ def _scan_shape(
         else:
             glue_present.append(True)
     if elision_root is not None:
-        elision_rng = elision_root.split(f"elision:{scan_index}:{spec.name}")
-        for i, present in enumerate(glue_present):
-            if present and elision_rng.random() < glue_elision_rate:
-                glue_present[i] = False
+        glue_present = surviving_glue(
+            elision_root, glue_elision_rate, scan_index, spec.name, glue_present
+        )
 
     n_records = len(spec.records)
     # The parallel re-resolve repairs every non-ghost record against a
@@ -263,7 +134,7 @@ def _scan_shape(
 
 
 def _address_up(
-    spec: _DomainSpec,
+    spec: DomainSpec,
     address: Optional[int],
     scan_index: int,
     faults: Optional[FaultPlan],
@@ -337,8 +208,7 @@ def batched_adoption_shard(
     if payload.get("faults") is not None:
         faults = FaultPlan(fault_from_params(payload["faults"]))
 
-    plan = PopulationPlan(config, seed)
-    specs = _replay_chunk(plan, config, seed, chunk_index)
+    specs = chunk_specs(PopulationPlan(config, seed), chunk_index)
     elision_root = (
         RandomStream(seed, "adoption-scan") if glue_elision_rate > 0 else None
     )

@@ -12,13 +12,15 @@ authoritative DNS (via a :class:`~repro.dns.zone.ZoneStore`) and per-scan
 TCP/25 reachability (via :meth:`is_listening`).
 
 Generation is *chunked*: the domain space is split into fixed-size chunks,
-each built from its own RNG sub-stream (``seed -> "chunk:<k>"``) and its own
-disjoint slice of the address space.  A chunk's content therefore depends
-only on ``(config, seed, chunk index)`` — never on which other chunks were
-generated in the same process — which is what lets the parallel experiment
-runner hand each worker a disjoint slice of the population
-(:meth:`SyntheticInternet.shard`) and still merge results bit-for-bit
-identical to a serial run.
+each drawn by :func:`chunk_specs` from its own RNG sub-stream
+(``seed -> "chunk:<k>"``) and its own disjoint slice of the address space.
+A chunk's content therefore depends only on ``(config, seed, chunk
+index)`` — never on which other chunks were generated in the same process
+— which is what lets the parallel experiment runner hand each worker a
+disjoint slice of the population (:meth:`SyntheticInternet.shard`) and
+still merge results bit-for-bit identical to a serial run.
+:class:`SyntheticInternet` publishes the specs as a world; the batch engine
+(:mod:`repro.scan.batch`) classifies the same specs directly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..dns.zone import ZoneStore
-from ..net.address import AddressPool, IPv4Address, IPv4Network
+from ..net.address import IPv4Address, IPv4Network
 from ..sim.rng import RandomStream
 
 
@@ -66,8 +68,8 @@ PROVIDER_APEX = "mx-pools.example"
 #: Address block reserved for provider pools (RFC 2544 benchmarking range,
 #: disjoint from the population's default 10/8 and the bot source ranges).
 #: Pool addresses are arithmetic — pool ``k`` slot ``i`` maps to
-#: ``base + k * POOL_HOSTS + i`` — so the batch replay never needs
-#: an allocator to know them.
+#: ``base + k * POOL_HOSTS + i`` — so a domain spec carries them as plain
+#: integers.
 PROVIDER_ADDRESS_SPACE = "198.18.0.0/16"
 
 
@@ -263,20 +265,6 @@ def population_from_params(params: Dict[str, object]) -> PopulationConfig:
     )
 
 
-@dataclass
-class PlannedDomain:
-    """The cheap part of one domain's ground truth: name, category, rank.
-
-    Everything a coordinator needs to shard, plant popular adopters and
-    merge results — without paying for zones, addresses or outage draws.
-    """
-
-    index: int
-    name: str
-    category: DomainCategory
-    alexa_rank: int
-
-
 def _category_counts(
     num_domains: int, mix: Mapping[DomainCategory, float]
 ) -> Dict[DomainCategory, int]:
@@ -396,21 +384,14 @@ class PopulationPlan:
     derive the same plan from ``(config, seed)``, so chunk ``k`` means the
     same domains everywhere.
 
-    The plan's authoritative storage is *columnar*: an ``array('B')`` of
-    category codes and an ``array('I')`` of ranks.  :class:`PlannedDomain`
-    objects are materialized lazily (and at most once) when somebody asks
-    for :attr:`domains`; the batched engines and worker-side generators
-    read :meth:`chunk_rows` instead and never pay for the object layer.
-    A category index and the ground-truth counts are built with the
-    columns — categories never change after planning, so they need no
-    invalidation; the name->rank map is cached and dropped by
-    :meth:`plant`.
-
-    The columns, counts and index form the plan's read-only layout, which
+    The plan is *columnar*: an ``array('B')`` of category codes and an
+    ``array('I')`` of ranks, plus a category index and the ground-truth
+    counts built with them.  Those form the plan's read-only layout, which
     is memoised per process (see :func:`_plan_layout`): constructing a plan
     for a population this process has just planned costs nothing, which is
-    what lets every shard build its own.  Planting and the caches stay on
-    the instance, so one plan's :meth:`plant` never reaches another.
+    what lets every shard build its own.  :meth:`plant` copies the rank
+    column onto the instance before re-ranking it, so one plan's planting
+    never reaches another.
     """
 
     def __init__(self, config: PopulationConfig, seed: int) -> None:
@@ -418,7 +399,7 @@ class PopulationPlan:
         self.seed = seed
         mix = tuple(sorted(config.mix.items(), key=lambda item: item[0].value))
         self._layout = _plan_layout(config.num_domains, mix, seed)
-        self._domains: Optional[List[PlannedDomain]] = None
+        self._ranks: Sequence[int] = self._layout.ranks
         self._rank_cache: Optional[Dict[str, int]] = None
 
     @staticmethod
@@ -427,107 +408,186 @@ class PopulationPlan:
         return f"dom{index:07d}.example"
 
     @property
-    def domains(self) -> List[PlannedDomain]:
-        """The object view of the plan, materialized on first access."""
-        if self._domains is None:
-            ranks = self._layout.ranks
-            self._domains = [
-                PlannedDomain(
-                    index=index,
-                    name=self.name_of(index),
-                    category=CATEGORY_ORDER[code],
-                    alexa_rank=ranks[index],
-                )
-                for index, code in enumerate(self._layout.codes)
-            ]
-        return self._domains
-
-    @property
     def num_chunks(self) -> int:
         return self.config.num_chunks
 
-    def chunk(self, chunk_index: int) -> List[PlannedDomain]:
-        """The planned domains of chunk ``chunk_index`` (object view)."""
-        self._check_chunk(chunk_index)
-        size = self.config.chunk_size
-        return self.domains[chunk_index * size: (chunk_index + 1) * size]
-
     def chunk_rows(self, chunk_index: int) -> List[Tuple[int, str, DomainCategory, int]]:
-        """Chunk contents as cheap ``(index, name, category, rank)`` rows.
-
-        Reads straight from the columnar arrays, so a worker generating one
-        shard never materializes the full object plan.  Falls back to the
-        object view when it exists, because planting mutates object ranks.
-        """
-        self._check_chunk(chunk_index)
+        """Chunk contents as cheap ``(index, name, category, rank)`` rows."""
+        if not 0 <= chunk_index < self.num_chunks:
+            raise ValueError(
+                f"chunk {chunk_index} out of range [0, {self.num_chunks})"
+            )
         size = self.config.chunk_size
         start = chunk_index * size
         stop = min(start + size, self.config.num_domains)
-        if self._domains is not None:
-            return [
-                (d.index, d.name, d.category, d.alexa_rank)
-                for d in self._domains[start:stop]
-            ]
-        codes, ranks = self._layout.codes, self._layout.ranks
+        codes, ranks = self._layout.codes, self._ranks
         return [
             (i, self.name_of(i), CATEGORY_ORDER[codes[i]], ranks[i])
             for i in range(start, stop)
         ]
 
-    def _check_chunk(self, chunk_index: int) -> None:
-        if not 0 <= chunk_index < self.num_chunks:
-            raise ValueError(
-                f"chunk {chunk_index} out of range [0, {self.num_chunks})"
-            )
-
     def truth_counts(self) -> Dict[DomainCategory, int]:
         """Exact category counts, precomputed at planning time."""
         return dict(self._layout.counts)
 
-    def domains_in(self, category: DomainCategory) -> List[PlannedDomain]:
-        """Planned domains of one category, via the one-time index."""
-        domains = self.domains
-        return [domains[i] for i in self._layout.index_by_category[category]]
-
     def count_in(self, category: DomainCategory) -> int:
-        """Category cardinality without materializing any objects."""
+        """Category cardinality, from the precomputed counts."""
         return self._layout.counts[category]
 
     def rank_of(self) -> Dict[str, int]:
         """Domain name -> current Alexa rank (reflects any planting).
 
-        Cached after the first call; :meth:`plant` (or an explicit
-        :meth:`invalidate_rank_cache`) drops the cache when ranks move.
-        Treat the returned mapping as read-only.
+        Cached after the first call; :meth:`plant` drops the cache when
+        ranks move.  Treat the returned mapping as read-only.
         """
         if self._rank_cache is None:
-            if self._domains is None:
-                self._rank_cache = {
-                    self.name_of(i): rank
-                    for i, rank in enumerate(self._layout.ranks)
-                }
-            else:
-                self._rank_cache = {
-                    d.name: d.alexa_rank for d in self._domains
-                }
+            self._rank_cache = {
+                self.name_of(i): rank for i, rank in enumerate(self._ranks)
+            }
         return self._rank_cache
 
     def plant(self, ranks: Sequence[int]) -> List[str]:
-        """Plant nolisting adopters at ``ranks`` and invalidate rank caches.
+        """Plant nolisting adopters at ``ranks``; returns their names.
 
-        The one sanctioned way to re-rank a plan: callers that reach for
-        :func:`repro.scan.alexa.plant_ranks` directly bypass the cache
-        invalidation and will read stale :meth:`rank_of` answers.
+        Re-ranks a private copy of the rank column (see
+        :func:`repro.scan.alexa.plant_ranks`) and drops the name->rank
+        cache.
         """
         from .alexa import plant_ranks  # deferred: alexa imports this module
 
-        planted = plant_ranks(self.domains, ranks)
-        self.invalidate_rank_cache()
-        return planted
-
-    def invalidate_rank_cache(self) -> None:
-        """Forget the memoized name->rank map after external rank edits."""
+        column = array("I", self._ranks)
+        nolisting = self._layout.index_by_category[DomainCategory.NOLISTING]
+        planted = plant_ranks(nolisting, column, ranks)
+        self._ranks = column
         self._rank_cache = None
+        return [self.name_of(i) for i in planted]
+
+
+#: One MX record of a domain spec: hostname, preference, address value
+#: (``None`` for a dangling exchange with no A record anywhere).
+SpecRecord = Tuple[str, int, Optional[int]]
+
+
+class DomainSpec(NamedTuple):
+    """Everything the generator drew for one domain, as plain values.
+
+    The object engine publishes a spec as zones, listeners and ground
+    truth (:class:`SyntheticInternet`); the batch engine classifies it
+    directly (:mod:`repro.scan.batch`).  Both read the same specs from
+    :func:`chunk_specs`, so each draw has exactly one owner.
+    """
+
+    name: str
+    category: DomainCategory
+    rank: int
+    #: MX records in publication order; the first is the primary.
+    records: List[SpecRecord]
+    #: Scan index (0 or 1) during which the primary is spuriously down.
+    outage_scan: Optional[int]
+    #: Primary down in both scans.
+    persistent: bool
+    #: Provider pool hosting the exchangers, or None when self-hosted.
+    pool_id: Optional[int]
+    #: Pool advertised with equal preferences (load balancing).
+    pool_balanced: bool
+    #: Address of the ``www`` A record of a domain without MX records.
+    www: Optional[int]
+
+
+def chunk_specs(plan: PopulationPlan, chunk_index: int) -> List[DomainSpec]:
+    """Draw every domain of chunk ``chunk_index``.
+
+    The chunk's streams are ``seed -> "population" -> "chunk:<k>"`` split
+    into ``outages``, ``mx-count``, ``misconfig`` and (only when pools are
+    enabled, so pool-free populations keep their pre-pool draws)
+    ``provider``; each domain draws from them in index order.  Addresses
+    are arithmetic: chunk ``k`` owns the slice at ``k * stride`` of the
+    population's address space and hands it out sequentially, and pool
+    exchangers sit at fixed addresses in the provider block.  The ranks
+    are the plan's, so a planted plan yields planted specs.
+    """
+    config = plan.config
+    chunk_rng = RandomStream(plan.seed, "population").split(f"chunk:{chunk_index}")
+    outage_rng = chunk_rng.split("outages")
+    mx_rng = chunk_rng.split("mx-count")
+    misc_rng = chunk_rng.split("misconfig")
+    provider_rng = (
+        chunk_rng.split("provider")
+        if config.provider_pool_fraction > 0
+        else None
+    )
+    next_address = (
+        IPv4Network.parse(config.address_space).base.value
+        + chunk_index * config.chunk_address_stride
+    )
+
+    def transient() -> Optional[int]:
+        if outage_rng.random() >= config.transient_outage_rate:
+            return None
+        return outage_rng.randint(0, 1)
+
+    specs: List[DomainSpec] = []
+    for _, name, category, rank in plan.chunk_rows(chunk_index):
+        records: List[SpecRecord] = []
+        outage_scan: Optional[int] = None
+        persistent = False
+        pool_id: Optional[int] = None
+        balanced = False
+        www: Optional[int] = None
+
+        if category is DomainCategory.SINGLE_MX:
+            records.append((f"smtp.{name}", 10, next_address))
+            next_address += 1
+            outage_scan = transient()
+        elif category is DomainCategory.MULTI_MX:
+            count = mx_rng.weighted_index(list(config.extra_mx_weights)) + 2
+            if (
+                provider_rng is not None
+                and provider_rng.random() < config.provider_pool_fraction
+            ):
+                # Fail-over pools advertise ascending preferences; load
+                # balanced ones advertise every exchanger at 10, relying on
+                # the scanner's (preference, exchange) tie-break — slot
+                # order, by construction of provider_pool_host.  Pool
+                # exchangers are shared across domains, so per-domain
+                # outage draws would couple unrelated domains: none here.
+                pool_id = provider_rng.randrange(config.provider_pool_count)
+                balanced = provider_rng.random() < config.provider_equal_preference
+                for slot in range(count):
+                    records.append((
+                        provider_pool_host(pool_id, slot),
+                        10 if balanced else 10 * (slot + 1),
+                        provider_pool_address(pool_id, slot),
+                    ))
+            else:
+                records.append((f"smtp.{name}", 10, next_address))
+                for j in range(1, count):
+                    records.append(
+                        (f"smtp{j}.{name}", 10 * (j + 1), next_address + j)
+                    )
+                next_address += count
+                if outage_rng.random() < config.persistent_outage_rate:
+                    persistent = True
+                else:
+                    outage_scan = transient()
+        elif category is DomainCategory.NOLISTING:
+            # Primary resolves but refuses port 25; secondary works (Figure 1).
+            records.append((f"smtp.{name}", 0, next_address))
+            records.append((f"smtp1.{name}", 15, next_address + 1))
+            next_address += 2
+        elif misc_rng.random() < config.dangling_mx_fraction:
+            # MX points at a hostname with no A record anywhere.
+            records.append((f"ghost.{name}", 10, None))
+        else:
+            # Domain exists (has an A record for www) but no MX at all.
+            www = next_address
+            next_address += 1
+
+        specs.append(DomainSpec(
+            name, category, rank, records, outage_scan, persistent,
+            pool_id, balanced, www,
+        ))
+    return specs
 
 
 class SyntheticInternet:
@@ -540,10 +600,6 @@ class SyntheticInternet:
     chunks:
         Chunk indices to generate; ``None`` builds the full population.
         Use :meth:`shard` for the explicit worker-side constructor.
-    plan:
-        Pre-computed :class:`PopulationPlan` to reuse (must match
-        ``(config, seed)``); avoids re-planning when the caller already
-        holds one.
     """
 
     def __init__(
@@ -551,7 +607,6 @@ class SyntheticInternet:
         config: PopulationConfig,
         seed: int,
         chunks: Optional[Sequence[int]] = None,
-        plan: Optional[PopulationPlan] = None,
     ) -> None:
         self.config = config
         self.seed = seed
@@ -579,15 +634,14 @@ class SyntheticInternet:
                 f"address space {config.address_space} too small for "
                 f"{config.num_domains} domains in chunks of {config.chunk_size}"
             )
-        self._pool = AddressPool(network)
-        self.plan = plan if plan is not None else PopulationPlan(config, seed)
+        plan = PopulationPlan(config, seed)
         if chunks is None:
-            self.chunk_indices: List[int] = list(range(self.plan.num_chunks))
+            self.chunk_indices: List[int] = list(range(plan.num_chunks))
         else:
             self.chunk_indices = sorted(set(int(c) for c in chunks))
-        root = RandomStream(seed, "population")
         for chunk_index in self.chunk_indices:
-            self._generate_chunk(root, chunk_index)
+            for spec in chunk_specs(plan, chunk_index):
+                self._build(spec)
 
     @classmethod
     def shard(
@@ -604,122 +658,43 @@ class SyntheticInternet:
         """
         return cls(config, seed, chunks=list(chunks))
 
-    # ------------------------------------------------------------------
-    # Generation
-    # ------------------------------------------------------------------
-    def _generate_chunk(self, root: RandomStream, chunk_index: int) -> None:
-        """Build one chunk from its own RNG streams and address slice."""
-        chunk_rng = root.split(f"chunk:{chunk_index}")
-        outage_rng = chunk_rng.split("outages")
-        mx_rng = chunk_rng.split("mx-count")
-        misc_rng = chunk_rng.split("misconfig")
-        # The provider stream exists (and is drawn from) only when pools are
-        # enabled, so pool-free populations remain bit-identical to releases
-        # that predate provider pools.
-        provider_rng = (
-            chunk_rng.split("provider")
-            if self.config.provider_pool_fraction > 0
-            else None
+    def _build(self, spec: DomainSpec) -> None:
+        """Publish one spec: zone, glue, listeners, outages, ground truth."""
+        truth = DomainTruth(
+            name=spec.name,
+            category=spec.category,
+            outage_scan=spec.outage_scan,
+            persistent_outage=spec.persistent,
+            alexa_rank=spec.rank,
+            provider_pool=spec.pool_id,
+            pool_balanced=spec.pool_balanced,
         )
-        pool = self._pool.subpool(
-            chunk_index * self.config.chunk_address_stride,
-            self.config.chunk_address_stride,
-        )
-
-        for _, name, category, rank in self.plan.chunk_rows(chunk_index):
-            truth = DomainTruth(
-                name=name,
-                category=category,
-                alexa_rank=rank,
-            )
-            if category is DomainCategory.SINGLE_MX:
-                self._build_single(truth, pool)
-                self._maybe_transient(truth, outage_rng)
-            elif category is DomainCategory.MULTI_MX:
-                self._build_multi(truth, pool, mx_rng, provider_rng)
-                if truth.provider_pool is not None:
-                    # Pool exchangers are shared across domains; per-domain
-                    # outage draws would couple unrelated domains through a
-                    # common address, so pool-hosted domains take none.
-                    pass
-                elif outage_rng.random() < self.config.persistent_outage_rate:
-                    self._apply_persistent_outage(truth)
-                else:
-                    self._maybe_transient(truth, outage_rng)
-            elif category is DomainCategory.NOLISTING:
-                self._build_nolisting(truth, pool)
-            else:
-                self._build_misconfigured(truth, pool, misc_rng)
-            self.domains.append(truth)
-            self._truth_counts[category] += 1
-            self._by_category[category].append(truth)
-
-    def _allocate_mx(
-        self,
-        truth: DomainTruth,
-        pool: AddressPool,
-        label: str,
-        preference: int,
-        listening: bool,
-    ) -> IPv4Address:
-        address = pool.allocate()
-        hostname = f"{label}.{truth.name}"
-        zone = self.zones.get_or_create(truth.name)
-        zone.add_a(hostname, address)
-        zone.add_mx(preference, hostname)
-        truth.mx_hosts.append((hostname, preference, address))
-        self._listening[address] = listening
-        self._mail_addresses.append(address)
-        return address
-
-    def _build_single(self, truth: DomainTruth, pool: AddressPool) -> None:
-        self._allocate_mx(truth, pool, "smtp", 10, listening=True)
-
-    def _build_multi(
-        self,
-        truth: DomainTruth,
-        pool: AddressPool,
-        rng: RandomStream,
-        provider_rng: Optional[RandomStream] = None,
-    ) -> None:
-        extra = rng.weighted_index(list(self.config.extra_mx_weights)) + 1
-        if provider_rng is not None:
-            # Fixed draw order (membership, pool id, layout) so the batch
-            # replay can mirror this stream draw-for-draw.
-            if provider_rng.random() < self.config.provider_pool_fraction:
-                pool_id = provider_rng.randrange(self.config.provider_pool_count)
-                balanced = (
-                    provider_rng.random() < self.config.provider_equal_preference
+        if spec.pool_id is not None:
+            self._ensure_provider_pool(spec.pool_id)
+        zone = self.zones.get_or_create(spec.name)
+        for position, (hostname, preference, value) in enumerate(spec.records):
+            address = None if value is None else IPv4Address(value)
+            if address is not None and spec.pool_id is None:
+                # Self-hosted exchanger: its own glue and listener.  A
+                # nolisting primary resolves but refuses port 25.
+                zone.add_a(hostname, address)
+                self._listening[address] = not (
+                    position == 0 and spec.category is DomainCategory.NOLISTING
                 )
-                self._attach_provider_pool(truth, pool_id, extra + 1, balanced)
-                return
-        self._allocate_mx(truth, pool, "smtp", 10, listening=True)
-        for i in range(extra):
-            self._allocate_mx(
-                truth, pool, f"smtp{i + 1}", 10 * (i + 2), listening=True
-            )
-
-    def _attach_provider_pool(
-        self, truth: DomainTruth, pool_id: int, count: int, balanced: bool
-    ) -> None:
-        """Point ``truth`` at ``count`` exchangers of a shared provider pool.
-
-        Fail-over pools advertise ascending preferences (10, 20, ...); load
-        balanced pools advertise every exchanger at preference 10, relying
-        on the scanner's ``(preference, exchange)`` tie-break — slot order,
-        by construction of :func:`provider_pool_host` — for determinism.
-        """
-        self._ensure_provider_pool(pool_id)
-        zone = self.zones.get_or_create(truth.name)
-        for slot in range(count):
-            hostname = provider_pool_host(pool_id, slot)
-            preference = 10 if balanced else 10 * (slot + 1)
+                self._mail_addresses.append(address)
             zone.add_mx(preference, hostname)
-            truth.mx_hosts.append(
-                (hostname, preference, IPv4Address(provider_pool_address(pool_id, slot)))
-            )
-        truth.provider_pool = pool_id
-        truth.pool_balanced = balanced
+            truth.mx_hosts.append((hostname, preference, address))
+        if spec.www is not None:
+            zone.add_a(f"www.{spec.name}", IPv4Address(spec.www))
+        primary = truth.mx_hosts[0][2] if truth.mx_hosts else None
+        if primary is not None:
+            if spec.persistent:
+                self._listening[primary] = False
+            if spec.outage_scan is not None:
+                self._down_during_scan[primary] = spec.outage_scan
+        self.domains.append(truth)
+        self._truth_counts[spec.category] += 1
+        self._by_category[spec.category].append(truth)
 
     def _ensure_provider_pool(self, pool_id: int) -> None:
         """Provision pool ``pool_id``'s zone, glue and listeners once."""
@@ -732,41 +707,6 @@ class SyntheticInternet:
             zone.add_a(provider_pool_host(pool_id, slot), address)
             self._listening[address] = True
             self._mail_addresses.append(address)
-
-    def _build_nolisting(self, truth: DomainTruth, pool: AddressPool) -> None:
-        # Primary resolves but refuses port 25; secondary works (Figure 1).
-        self._allocate_mx(truth, pool, "smtp", 0, listening=False)
-        self._allocate_mx(truth, pool, "smtp1", 15, listening=True)
-
-    def _build_misconfigured(
-        self, truth: DomainTruth, pool: AddressPool, rng: RandomStream
-    ) -> None:
-        zone = self.zones.get_or_create(truth.name)
-        if rng.random() < self.config.dangling_mx_fraction:
-            # MX points at a hostname with no A record anywhere.
-            hostname = f"ghost.{truth.name}"
-            zone.add_mx(10, hostname)
-            truth.mx_hosts.append((hostname, 10, None))
-        else:
-            # Domain exists (has an A record for www) but no MX at all.
-            zone.add_a(f"www.{truth.name}", pool.allocate())
-
-    def _maybe_transient(self, truth: DomainTruth, rng: RandomStream) -> None:
-        if rng.random() >= self.config.transient_outage_rate:
-            return
-        primary = truth.primary
-        if primary is None or primary[2] is None:
-            return
-        scan_index = rng.randint(0, 1)
-        truth.outage_scan = scan_index
-        self._down_during_scan[primary[2]] = scan_index
-
-    def _apply_persistent_outage(self, truth: DomainTruth) -> None:
-        primary = truth.primary
-        if primary is None or primary[2] is None:
-            return
-        truth.persistent_outage = True
-        self._listening[primary[2]] = False
 
     # ------------------------------------------------------------------
     # Scan-time views

@@ -12,7 +12,7 @@ address list, producing the listening-host set.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from ..dns.resolver import DNSTimeout, NXDomain, ServFail, StubResolver
 from ..faults.model import FaultPlan
@@ -25,6 +25,27 @@ from .datasets import (
     SMTPScanDataset,
 )
 from .population import SyntheticInternet
+
+
+def surviving_glue(
+    rng: RandomStream,
+    rate: float,
+    scan_index: int,
+    domain: str,
+    glue: Sequence[bool],
+) -> List[bool]:
+    """Which of a domain's glue A records survive the capture's elision.
+
+    ``glue[i]`` says whether MX record ``i`` arrived with glue.  Each such
+    record is elided with probability ``rate`` by one draw from the
+    domain's own stream ``"elision:<scan>:<domain>"`` of ``rng``, in
+    record order; records without glue draw nothing.  Whether a record's
+    glue is elided therefore depends only on (seed, scan, domain, record
+    order).  :class:`DNSScanner` and the batch engine
+    (:mod:`repro.scan.batch`) both call this, so the draws have one owner.
+    """
+    stream = rng.split(f"elision:{scan_index}:{domain}")
+    return [present and stream.random() >= rate for present in glue]
 
 
 class DNSScanner:
@@ -60,55 +81,48 @@ class DNSScanner:
         self.rng = rng
         self.faults = faults
 
-    def iter_observations(self, scan_index: int) -> Iterator[DomainObservation]:
-        """Stream the population's per-domain observations, one at a time.
+    def scan(self, scan_index: int) -> DNSScanDataset:
+        """Capture the population's DNS state as a materialized dataset.
 
-        The streaming core of :meth:`scan`: yields each domain's capture
-        as soon as it is resolved, holding no dataset — which is what lets
-        a columnar consumer fold observations into fixed-width columns
-        chunk by chunk instead of materializing the whole capture.
-
-        Glue elision draws come from a per-domain RNG stream
-        (``"elision:<scan>:<domain>"``), so whether a record's glue is
-        elided depends only on (seed, scan, domain) — scanning a shard of
-        the population captures exactly what a full scan would for the
-        same domains, which the parallel runner's merge relies on.
+        Glue elision is drawn per domain (:func:`surviving_glue`), so
+        scanning a shard of the population captures exactly what a full
+        scan would for the same domains, which the parallel runner's merge
+        relies on.
         """
+        dataset = DNSScanDataset(scan_index=scan_index)
         resolver = StubResolver(
             self.internet.zones, faults=self.faults, fault_epoch=scan_index
         )
-        elide = self.glue_elision_rate > 0 and self.rng is not None
         for truth in self.internet.domains:
             observation = DomainObservation(domain=truth.name)
+            dataset.add(observation)
             try:
                 answer = resolver.resolve_mx(truth.name)
             except NXDomain:
                 observation.nxdomain = True
-                yield observation
                 continue
             except DNSTimeout:
                 observation.timeout = True
-                yield observation
                 continue
             except ServFail:
                 observation.servfail = True
-                yield observation
                 continue
-            elision_rng = (
-                self.rng.split(f"elision:{scan_index}:{truth.name}")
-                if elide
-                else None
-            )
-            for mx in answer.records:
-                address: Optional[IPv4Address] = answer.additional.get(
-                    mx.exchange
+            addresses: List[Optional[IPv4Address]] = [
+                answer.additional.get(mx.exchange) for mx in answer.records
+            ]
+            if self.rng is not None and self.glue_elision_rate > 0:
+                kept = surviving_glue(
+                    self.rng,
+                    self.glue_elision_rate,
+                    scan_index,
+                    truth.name,
+                    [address is not None for address in addresses],
                 )
-                if (
-                    address is not None
-                    and elision_rng is not None
-                    and elision_rng.random() < self.glue_elision_rate
-                ):
-                    address = None
+                addresses = [
+                    address if keep else None
+                    for address, keep in zip(addresses, kept)
+                ]
+            for mx, address in zip(answer.records, addresses):
                 observation.mx.append(
                     MXObservation(
                         preference=mx.preference,
@@ -116,13 +130,6 @@ class DNSScanner:
                         address=address,
                     )
                 )
-            yield observation
-
-    def scan(self, scan_index: int) -> DNSScanDataset:
-        """Capture the population's DNS state as a materialized dataset."""
-        dataset = DNSScanDataset(scan_index=scan_index)
-        for observation in self.iter_observations(scan_index):
-            dataset.add(observation)
         return dataset
 
     def parallel_resolve(self, dataset: DNSScanDataset) -> int:

@@ -335,6 +335,33 @@ class TestASY001:
         assert len(findings) == 1
         assert findings[0].line == 4
 
+    def test_blocking_call_through_conditional_attribute_flagged(self):
+        # The GreylistPolicy idiom: an unannotated attribute bound from
+        # either branch of a conditional expression.  Calls through it
+        # must still resolve, or the blocking sink behind it goes unseen.
+        findings = findings_for(
+            {
+                "policyd/server.py": """\
+                import sqlite3
+
+                class Store:
+                    def save(self, key):
+                        sqlite3.connect("triplets.db")
+
+                class Handler:
+                    def __init__(self, store=None):
+                        self.store = store if store is not None else Store()
+
+                    async def handle(self, request):
+                        self.store.save(request)
+                """,
+            },
+            "ASY001",
+        )
+        assert len(findings) == 1
+        assert findings[0].line == 5
+        assert "handle" in findings[0].message
+
     def test_async_callee_is_not_traversed(self):
         # An awaited async helper is audited as its own entry; the outer
         # coroutine must not double-report its sinks.

@@ -1,16 +1,15 @@
-"""Unit tests for the batch generation replay and the streamed columns.
+"""Unit tests for the domain spec stream and the streamed columns.
 
-The batch engine's replay (:func:`repro.scan.batch._replay_chunk`) is a
-lossless re-derivation of the generator's ground truth: every spec must
-agree with what :class:`SyntheticInternet` actually built.  The streamed
-deployment column (:mod:`repro.scan.columnar`) must replay the object
-path's draws exactly, on both the NumPy and the pure-Python ``array``
-backends.
+The batch engine classifies :func:`repro.scan.population.chunk_specs`
+directly, while the object engine publishes the same specs as a world:
+every spec must agree with what :class:`SyntheticInternet` actually
+built.  The streamed deployment column (:mod:`repro.scan.columnar`) must
+replay the object path's draws exactly, on both the NumPy and the
+pure-Python ``array`` backends.
 """
 
 import pytest
 
-from repro.scan.batch import _replay_chunk
 from repro.scan.columnar import (
     DEPLOY_GREYLISTED,
     DEPLOY_NOLISTED,
@@ -22,8 +21,8 @@ from repro.scan.population import (
     PopulationConfig,
     PopulationPlan,
     SyntheticInternet,
+    chunk_specs,
     population_params,
-    provider_pool_apex,
 )
 from repro.scan.profiles import PROFILES, profile_config
 from repro.sim.rng import RandomStream
@@ -41,14 +40,14 @@ POOLED = dict(
 
 
 def assert_replay_matches(config: PopulationConfig, seed: int, chunk_index: int):
-    """Every replayed spec equals the generator's ``DomainTruth``."""
-    plan = PopulationPlan(config, seed)
-    specs = _replay_chunk(plan, config, seed, chunk_index)
+    """Every spec equals the ``DomainTruth`` the built world publishes."""
+    specs = chunk_specs(PopulationPlan(config, seed), chunk_index)
     internet = SyntheticInternet.shard(config, seed, [chunk_index])
     assert len(specs) == len(internet.domains) > 0
     for spec, truth in zip(specs, internet.domains):
         assert spec.name == truth.name
         assert spec.category is truth.category
+        assert spec.rank == truth.alexa_rank
         # Hostname, preference and address of every record, in order.
         assert spec.records == [
             (host, pref, None if addr is None else addr.value)
@@ -56,10 +55,13 @@ def assert_replay_matches(config: PopulationConfig, seed: int, chunk_index: int)
         ]
         assert spec.outage_scan == truth.outage_scan
         assert spec.persistent == truth.persistent_outage
-        if truth.provider_pool is None:
-            assert spec.pool_apex is None
-        else:
-            assert spec.pool_apex == provider_pool_apex(truth.provider_pool)
+        assert spec.pool_id == truth.provider_pool
+        assert spec.pool_balanced == truth.pool_balanced
+        if spec.www is not None:
+            zone = internet.zones.zone_for(truth.name)
+            assert [r.address.value for r in zone.a_records(f"www.{truth.name}")] == [
+                spec.www
+            ]
     return specs
 
 
@@ -68,7 +70,9 @@ class TestReplayMatchesGroundTruth:
     def test_pooled_config(self, chunk_index):
         specs = assert_replay_matches(PopulationConfig(**POOLED), 42, chunk_index)
         # The config really reaches the branches it exists for.
-        assert any(spec.pool_apex is not None for spec in specs)
+        assert any(spec.pool_id is not None for spec in specs)
+        assert any(spec.pool_balanced for spec in specs)
+        assert any(spec.www is not None for spec in specs)
         assert any(spec.persistent for spec in specs)
         assert any(spec.outage_scan is not None for spec in specs)
 
